@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from tamedspde import noise, spectral
-from tamedspde.integrators import SchemeConfig, simulate
+from tamedspde.estimators import path_norms
+from tamedspde.integrators import SchemeConfig
 from tamedspde.nonlinearity import polynomial
 
 
@@ -36,20 +37,19 @@ def main() -> None:
         x0=spectral.unit_mode(args.modes, 1, args.amplitude),
         seed=args.seed, taming=False)
 
-    steps = [simulate(cfg, trajectory_index=i).blowup_step
-             for i in range(args.paths)]
-    blown = [s for s in steps if s is not None]
+    steps = path_norms(cfg, args.paths).blowup_steps
+    blown = steps[steps >= 0]
     line = f"untamed: {len(blown)}/{args.paths} paths left the finite range"
-    if blown:
+    if blown.size:
         line += (f"; first at step {min(blown)}, "
                  f"median step {int(np.median(blown))}")
     print(line)
 
     tamed = replace(cfg, taming=True)
-    norms = [float(spectral.l2_norm(simulate(tamed, trajectory_index=i).final_state))
-             for i in range(args.paths)]
+    # a tamed path leaving the finite range would raise TrajectoryOverflow
+    norms = path_norms(tamed, args.paths).l2[-1]
     print(f"tamed:   all {args.paths} paths finite; final L2 norm "
-          f"median {np.median(norms):.4f}, max {max(norms):.4f}")
+          f"median {np.median(norms):.4f}, max {norms.max():.4f}")
 
 
 if __name__ == "__main__":

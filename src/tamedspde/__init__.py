@@ -2,15 +2,15 @@
 heat equation on (0, 1), centered on an explicit tamed exponential Euler
 scheme with closed-form Gaussian oracles for everything linear."""
 
-from .errors import ConfigurationError, TrajectoryOverflow
+from .errors import (ConfigurationError, TamingBoundViolation,
+                     TrajectoryOverflow)
 from .spectral import (GridField, SpectralField, analyze, apply_fractional,
                        apply_phi1, apply_semigroup, bump_profile,
                        collocation_nodes, eigenvalue, eigenvalues, l2_norm,
                        lp_norm, multi_mode, sup_norm, synthesize, unit_mode,
                        zero_field)
-from .noise import (CovarianceSpec, NoiseRegularity, NoiseStream,
-                    classify_regularity, explicit_covariance, power_decay,
-                    regularity_exponent, sample_increment,
+from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
+                    explicit_covariance, power_decay, regularity_exponent,
                     step_discrete_convolution, white)
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,
                            apply_nemytskii, audit_assumptions,
@@ -21,14 +21,14 @@ from .gaussian_oracle import (ModeGaussian, convolution_second_moment_exact,
                               discrete_convolution_second_moment,
                               linear_invariant_variance, linear_scheme_law,
                               linear_stationary_variance)
-from .integrators import (Engine, SchemeConfig, TrajectoryRecord, simulate,
-                          simulate_coupled_pair, tamed_step, untamed_step)
+from .integrators import Engine, SchemeConfig, evolve
 from .estimators import (EXP_NEG_L2SQ, FUNCTIONALS, L2_SQUARED, BOUNDED_MODE1,
                          ContractionStudy, CostCurve, ErgodicStudy,
-                         MCEstimate, ModeStatistics, MomentStudy, RateFit,
-                         TamingReport, TestFunctional, WeakOrderStudy,
-                         contraction_rate, cost_curve, ergodic_average,
-                         estimate_moment, final_mode_statistics, fit_rate,
+                         MCEstimate, ModeStatistics, MomentStudy, PathNorms,
+                         RateFit, TamingReport, TestFunctional,
+                         WeakOrderStudy, contraction_rate, cost_curve,
+                         ergodic_average, estimate_moment,
+                         final_mode_statistics, fit_rate, path_norms,
                          taming_headroom, weak_order_study)
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ CSV bytes depend only on the resolved configuration, never on the worker
 count or the wall clock.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (a tamed
-trajectory leaving the finite range, reported with step and trajectory).
+trajectory leaving the finite range or breaking the taming bound, reported
+with step and trajectory).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from . import __version__
 from .config import EXPERIMENTS, ExperimentConfig, build_x0, parse_config
 from .errors import ConfigurationError, TrajectoryOverflow
 from .estimators import (FUNCTIONALS, contraction_rate, cost_curve,
-                         ergodic_average, estimate_moment, weak_order_study)
-from .integrators import simulate
+                         ergodic_average, estimate_moment, path_norms,
+                         weak_order_study)
 from .noise import classify_regularity
 from .nonlinearity import audit_assumptions
 
@@ -123,14 +124,17 @@ def _write_gp(path: Path, experiment: str) -> None:
 # experiment dispatch: each returns (columns, rows, summary, extra_files)
 
 def _run_simulate(cfg: ExperimentConfig):
+    study = path_norms(cfg.scheme, cfg.n_paths, cfg.workers)
     rows = []
     paths = []
-    for i in range(cfg.n_paths):
-        rec = simulate(cfg.scheme, trajectory_index=i)
-        for t, l2, sup in zip(rec.times, rec.l2_norms, rec.sup_norms):
-            rows.append((i, t, l2, sup))
-        paths.append({"trajectory": i, "blowup_step": rec.blowup_step,
-                      "final_l2": float(rec.l2_norms[-1])})
+    for i, blowup in enumerate(study.blowup_steps.tolist()):
+        # rows stop before the first non-finite state
+        kept = len(study.times) if blowup < 0 else blowup
+        rows += [(i, study.times[n], study.l2[n, i], study.sup[n, i])
+                 for n in range(kept)]
+        paths.append({"trajectory": i,
+                      "blowup_step": None if blowup < 0 else blowup,
+                      "final_l2": float(study.l2[kept - 1, i])})
     n_blown = sum(1 for p in paths if p["blowup_step"] is not None)
     summary = {"paths": paths, "n_paths": cfg.n_paths,
                "blowup_fraction": n_blown / cfg.n_paths}

@@ -18,3 +18,8 @@ class TrajectoryOverflow(ArithmeticError):
         super().__init__(message)
         self.step = step
         self.trajectory = trajectory
+
+
+class TamingBoundViolation(TrajectoryOverflow):
+    """A tamed drift contribution reached 1, which the scheme rules out:
+    dt ||F|| / (1 + dt ||F||) < 1 always, so this flags a defective step."""

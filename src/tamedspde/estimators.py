@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, TrajectoryOverflow
-from .integrators import Engine, SchemeConfig
+from .errors import ConfigurationError
+from .integrators import SchemeConfig, evolve
 from .noise import increment_scale
 
 _PATH_BLOCK = 1024
@@ -162,40 +162,18 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> list:
         return list(pool.map(block_fn, starts, counts))
 
 
-def _evolve(cfg: SchemeConfig, start: int, count: int, on_state=None,
-            allow_blowup: bool = False):
-    """Run `count` trajectories with global indices start..start+count-1.
+def _traj(start: int, count: int) -> np.ndarray:
+    """Global trajectory indices of one block."""
+    return np.arange(start, start + count, dtype=np.uint64)
 
-    on_state(state_index, states, engine) fires for the initial state and
-    after every accepted step.  When allow_blowup is set, paths that leave
-    the finite range freeze at their last finite state and their first bad
-    step index is recorded; otherwise any non-finite value raises.
-    Returns (final states (J, count), blowup step indices (count,), -1 = none).
-    """
-    engine = Engine(cfg)
-    traj = np.arange(start, start + count, dtype=np.uint64)
-    x = np.repeat(cfg.x0.coeffs[:, None], count, axis=1)
-    blowup = np.full(count, -1, dtype=np.int64)
-    if on_state is not None:
-        on_state(0, x, engine)
-    for n in range(cfg.n_steps):
-        g = rng.normal_matrix(cfg.seed, traj, n, cfg.n_modes)
-        x_new = engine.step(x, engine.noise_from_gaussians(g))
-        finite = np.isfinite(x_new).all(axis=0)
-        if not finite.all():
-            if not allow_blowup:
-                first = int(traj[int(np.argmin(finite))])
-                raise TrajectoryOverflow(
-                    f"trajectory {first} left the finite range at state {n + 1}",
-                    step=n + 1, trajectory=first)
-            newly = (~finite) & (blowup < 0)
-            blowup[newly] = n + 1
-            dead = blowup >= 0
-            x_new[:, dead] = x[:, dead]
-        x = x_new
-        if on_state is not None:
-            on_state(n + 1, x, engine)
-    return x, blowup
+
+def _state_norm(norm: str, x, engine) -> np.ndarray:
+    """Per-path "l2" (Parseval) or "sup" (max over collocation nodes) norm."""
+    # frozen exploded paths overflow here; callers discard those values
+    with np.errstate(over="ignore"):
+        if norm == "l2":
+            return np.sqrt((x * x).sum(axis=0))
+        return np.abs(engine.basis @ x).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +214,15 @@ def _moment_block(start, count, *, cfg, steps, norm):
         rows.setdefault(s, []).append(row)
     out = np.empty((len(steps), count))
 
-    def on_state(idx, x, engine):
+    def on_state(idx, xs, engine):
         if idx not in rows:
             return
-        # frozen exploded paths overflow here; their rows are discarded anyway
-        with np.errstate(over="ignore"):
-            if norm == "l2":
-                vals = np.sqrt((x * x).sum(axis=0))
-            else:
-                vals = np.abs(engine.basis @ x).max(axis=0)
+        vals = _state_norm(norm, xs[0], engine)
         for row in rows[idx]:
             out[row] = vals
 
-    _, blowup = _evolve(cfg, start, count, on_state,
-                        allow_blowup=not cfg.taming)
+    _, blowup = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
+                       on_state=on_state, allow_blowup=not cfg.taming)
     return out, blowup
 
 
@@ -287,6 +260,52 @@ def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
     return MomentStudy(checkpoints=tuple(checkpoints), norm=norm, power=power,
                        n_paths=n_paths, blowup_fraction=0.0,
                        estimates=tuple(estimates))
+
+
+# ---------------------------------------------------------------------------
+# per-path norm records
+
+@dataclass(frozen=True, eq=False)
+class PathNorms:
+    """L2 and sup norms of every state of every path.
+
+    l2[n, i] and sup[n, i] belong to state n of path i, at times[n].
+    blowup_steps[i] is the index of path i's first non-finite state, or -1
+    if it has none; from that index on its rows repeat the last finite
+    state.
+    """
+
+    times: np.ndarray
+    l2: np.ndarray
+    sup: np.ndarray
+    blowup_steps: np.ndarray
+
+
+def _path_norm_block(start, count, *, cfg):
+    l2 = np.empty((cfg.n_steps + 1, count))
+    sup = np.empty_like(l2)
+
+    def on_state(idx, xs, engine):
+        l2[idx] = _state_norm("l2", xs[0], engine)
+        sup[idx] = _state_norm("sup", xs[0], engine)
+
+    _, blowup = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
+                       on_state=on_state, allow_blowup=not cfg.taming)
+    return l2, sup, blowup
+
+
+def path_norms(cfg: SchemeConfig, n_paths: int,
+               workers: int = 1) -> PathNorms:
+    """Per-state norms of trajectories 0..n_paths-1.
+
+    Tamed runs treat any blow-up as a hard failure; untamed runs record
+    each path's blow-up step.
+    """
+    parts = _map_blocks(partial(_path_norm_block, cfg=cfg), n_paths, workers)
+    return PathNorms(times=cfg.dt * np.arange(cfg.n_steps + 1),
+                     l2=np.concatenate([p[0] for p in parts], axis=1),
+                     sup=np.concatenate([p[1] for p in parts], axis=1),
+                     blowup_steps=np.concatenate([p[2] for p in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +356,8 @@ def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarr
 
 def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
     n_fine = level_steps[-1]
-    dt_fine = horizon / n_fine
-    traj = np.arange(start, start + count, dtype=np.uint64)
-    scale = increment_scale(cfg.cov, dt_fine)[:, None]
+    traj = _traj(start, count)
+    scale = increment_scale(cfg.cov, horizon / n_fine)[:, None]
     fine = np.empty((n_fine, cfg.n_modes, count))
     for j in range(n_fine):
         fine[j] = scale * rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes)
@@ -347,17 +365,8 @@ def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
     out = np.empty((len(level_steps), count))
     for li, n_level in enumerate(level_steps):
         level_cfg = replace(cfg, dt=horizon / n_level, n_steps=n_level)
-        engine = Engine(level_cfg)
-        increments = aggregate_fine_increments(fine, n_level)
-        x = np.repeat(cfg.x0.coeffs[:, None], count, axis=1)
-        for k in range(n_level):
-            x = engine.step(x, increments[k])
-            if not np.all(np.isfinite(x)):
-                bad = int(traj[int(np.argmin(np.isfinite(x).all(axis=0)))])
-                raise TrajectoryOverflow(
-                    f"trajectory {bad} left the finite range at state {k + 1} "
-                    f"of the dt={level_cfg.dt} level",
-                    step=k + 1, trajectory=bad)
+        (x,), _ = evolve(level_cfg, traj, [cfg.x0.coeffs],
+                         increments=aggregate_fine_increments(fine, n_level))
         out[li] = functional.evaluate(x)
     return out
 
@@ -457,13 +466,13 @@ def _ergodic_block(start, count, *, cfg, functional, first_step):
     finals = np.empty(count)
     n_terms = cfg.n_steps - first_step + 1
 
-    def on_state(idx, x, engine):
+    def on_state(idx, xs, engine):
         if idx >= first_step:
-            sums[:] += functional.evaluate(x)
+            sums[:] += functional.evaluate(xs[0])
         if idx == cfg.n_steps:
-            finals[:] = functional.evaluate(x)
+            finals[:] = functional.evaluate(xs[0])
 
-    _evolve(cfg, start, count, on_state, allow_blowup=False)
+    evolve(cfg, _traj(start, count), [cfg.x0.coeffs], on_state=on_state)
     return finals, sums / n_terms
 
 
@@ -520,24 +529,13 @@ class ContractionStudy:
 
 
 def _contraction_block(start, count, *, cfg, x0_a, x0_b):
-    engine = Engine(cfg)
-    traj = np.arange(start, start + count, dtype=np.uint64)
-    xa = np.repeat(x0_a[:, None], count, axis=1)
-    xb = np.repeat(x0_b[:, None], count, axis=1)
     dist = np.empty((cfg.n_steps + 1, count))
-    dist[0] = np.sqrt(((xa - xb) ** 2).sum(axis=0))
-    for n in range(cfg.n_steps):
-        g = rng.normal_matrix(cfg.seed, traj, n, cfg.n_modes)
-        noise = engine.noise_from_gaussians(g)
-        xa = engine.step(xa, noise)
-        xb = engine.step(xb, noise)
-        ok = np.isfinite(xa).all(axis=0) & np.isfinite(xb).all(axis=0)
-        if not ok.all():
-            first = int(traj[int(np.argmin(ok))])
-            raise TrajectoryOverflow(
-                f"coupled trajectory {first} left the finite range at "
-                f"state {n + 1}", step=n + 1, trajectory=first)
-        dist[n + 1] = np.sqrt(((xa - xb) ** 2).sum(axis=0))
+
+    def on_state(idx, xs, engine):
+        xa, xb = xs
+        dist[idx] = np.sqrt(((xa - xb) ** 2).sum(axis=0))
+
+    evolve(cfg, _traj(start, count), [x0_a, x0_b], on_state=on_state)
 
     # per-path window: stop at the first nonpositive or non-finite distance
     bad = (dist <= 0.0) | ~np.isfinite(dist)
@@ -562,10 +560,6 @@ def contraction_rate(cfg: SchemeConfig, x0_a, x0_b, n_paths: int,
     """Decay rate of the L2 distance between paths driven by shared noise."""
     a = np.asarray(x0_a.coeffs, dtype=np.float64)
     b = np.asarray(x0_b.coeffs, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ConfigurationError("contraction needs unbatched initial fields")
-    if a.shape[0] != cfg.n_modes or b.shape[0] != cfg.n_modes:
-        raise ConfigurationError("initial fields must have cfg.n_modes modes")
     if np.array_equal(a, b):
         raise ConfigurationError(
             "x0_a and x0_b coincide; the coupled distance is identically zero")
@@ -605,14 +599,14 @@ class TamingReport:
 def _headroom_block(start, count, *, cfg):
     peak = np.zeros(1)
 
-    def on_state(idx, x, engine):
+    def on_state(idx, xs, engine):
         if idx == 0:
             return
         m = float(np.max(engine.last_drift_l2))
         if m > peak[0]:
             peak[0] = m
 
-    _evolve(cfg, start, count, on_state, allow_blowup=False)
+    evolve(cfg, _traj(start, count), [cfg.x0.coeffs], on_state=on_state)
     return float(peak[0])
 
 
@@ -645,7 +639,7 @@ class ModeStatistics:
 
 
 def _final_state_block(start, count, *, cfg):
-    x, _ = _evolve(cfg, start, count, allow_blowup=False)
+    (x,), _ = evolve(cfg, _traj(start, count), [cfg.x0.coeffs])
     return x
 
 

@@ -11,7 +11,8 @@ pseudo-spectrally, and the taming denominator uses the node-quadrature L2
 norm of f(X_n).  The untamed map is the baseline that loses moment bounds
 for superlinear f; its blow-up is an expected, recorded outcome.  The tamed
 drift contribution has L2 norm at most dt ||F|| / (1 + dt ||F||) < 1 at
-every step, and the engine asserts that bound each time it steps.
+every step; :func:`evolve` checks that bound after every tamed step and
+raises :class:`TamingBoundViolation` if it ever fails.
 
 Noise enters in one of two modes.  "increment" applies the semigroup to a
 plain Q-Wiener increment, so the zero-drift scheme is exactly
@@ -22,20 +23,21 @@ integral after the decay, sampled with its exact variance; it removes the
 noise-discretization bias from invariant-law experiments.
 
 States are coefficient arrays of shape (J,) or (J, B); every operation here
-is batch-transparent.  Randomness is addressed, never streamed: trajectory
-b at step n always sees the same Gaussians regardless of batch or process
-layout.
+is batch-transparent.  :func:`evolve` is the one trajectory driver: every
+study iterates the map through it.  Randomness is addressed, never
+streamed: trajectory b at step n always sees the same Gaussians regardless
+of batch or process layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, TrajectoryOverflow
-from .noise import (CovarianceSpec, NoiseStream, increment_scale,
-                    stationary_step_scale)
+from . import rng
+from .errors import ConfigurationError, TamingBoundViolation, TrajectoryOverflow
+from .noise import CovarianceSpec, increment_scale, stationary_step_scale
 from .nonlinearity import Nonlinearity
 from .spectral import (SpectralField, phi1_factors, semigroup_factors,
                        sine_matrix)
@@ -93,22 +95,6 @@ class SchemeConfig:
         return self.n_steps * self.dt
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Per-step norms of one path, truncated at blow-up when one occurs.
-
-    blowup_step, when set, is the index of the first state that failed to
-    stay finite; times and norms cover the finite states 0..blowup_step-1,
-    and final_state is the last finite state.
-    """
-
-    times: np.ndarray
-    l2_norms: np.ndarray
-    sup_norms: np.ndarray
-    final_state: SpectralField
-    blowup_step: int | None = None
-
-
 def _col(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return factors if x.ndim == 1 else factors[:, None]
 
@@ -144,8 +130,12 @@ class Engine:
         return _col(scale, g) * g
 
     def step(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """One update of shape (J,) or (J, B) states; may return non-finite
-        values for the untamed map, which callers must inspect."""
+        """One update of shape (J,) or (J, B) states.
+
+        It checks nothing: the result may be non-finite, and under taming
+        ``last_drift_l2`` holds the per-path drift contribution whose
+        bound the caller verifies.  :func:`evolve` does both checks.
+        """
         decay = _col(self.decay, x)
         if self.zero_drift:
             self.last_drift_l2 = 0.0
@@ -159,10 +149,7 @@ class Engine:
             if self.taming:
                 norm = np.sqrt((fx * fx).sum(axis=0) * self.weight)
                 drift = _col(self.gain, x) * coeffs / (1.0 + self.dt * norm)
-                drift_l2 = np.sqrt((drift * drift).sum(axis=0))
-                # nan falls through to the caller's finiteness check instead
-                assert not np.any(drift_l2 >= 1.0), "tamed drift contribution reached 1"
-                self.last_drift_l2 = drift_l2
+                self.last_drift_l2 = np.sqrt((drift * drift).sum(axis=0))
                 if self.noise_mode == "increment":
                     return decay * (x + noise) + drift
                 return decay * x + drift + noise
@@ -171,103 +158,66 @@ class Engine:
             return decay * (x + self.dt * coeffs) + noise
 
 
-def tamed_step(x: SpectralField, cfg: SchemeConfig, stream: NoiseStream) -> SpectralField:
-    """One tamed update of a single field, drawing noise from the stream."""
-    engine = Engine(replace(cfg, taming=True))
-    noise = engine.noise_from_gaussians(stream.gaussians(cfg.n_modes))
-    out = engine.step(x.coeffs, noise)
-    if not np.all(np.isfinite(out)):
-        raise TrajectoryOverflow("tamed step produced a non-finite state")
-    return SpectralField(out)
+def evolve(cfg: SchemeConfig, traj: np.ndarray, x0s, increments=None,
+           on_state=None, allow_blowup: bool = False):
+    """Step trajectories traj (global indices, uint64) from each (J,) x0.
 
+    Each entry of x0s starts one (J, len(traj)) state; all of them see the
+    same noise, so two entries make a synchronously coupled pair.  Without
+    ``increments`` the noise of step n is addressed by (cfg.seed, traj, n)
+    through ``rng.normal_matrix``; otherwise ``increments[n]`` of shape
+    (J, len(traj)) is used as the noise term as it is.
 
-def untamed_step(x: SpectralField, cfg: SchemeConfig, stream: NoiseStream) -> SpectralField:
-    """One untamed update; raises TrajectoryOverflow on non-finite output,
-    which batch drivers catch and record rather than propagate."""
-    engine = Engine(replace(cfg, taming=False))
-    noise = engine.noise_from_gaussians(stream.gaussians(cfg.n_modes))
-    out = engine.step(x.coeffs, noise)
-    if not np.all(np.isfinite(out)):
-        raise TrajectoryOverflow("untamed step produced a non-finite state")
-    return SpectralField(out)
+    on_state(state_index, states, engine) fires for the initial states and
+    after every step.  A tamed drift contribution of 1 or more raises
+    TamingBoundViolation.  A non-finite state raises TrajectoryOverflow,
+    unless allow_blowup is set: then the path freezes at its last finite
+    states and its first non-finite state index is recorded.
 
-
-def _record_arrays(cfg: SchemeConfig, states: list[np.ndarray],
-                   blowup_step: int | None) -> TrajectoryRecord:
-    basis = sine_matrix(cfg.n_modes, cfg.n_nodes)
-    stacked = np.stack(states, axis=1)                    # (J, kept)
-    times = cfg.dt * np.arange(stacked.shape[1])
-    # norms of nearly-exploded finite states may overflow to inf; that is data
-    with np.errstate(over="ignore"):
-        l2 = np.sqrt((stacked * stacked).sum(axis=0))
-        sup = np.abs(basis @ stacked).max(axis=0)
-    return TrajectoryRecord(times=times, l2_norms=l2, sup_norms=sup,
-                            final_state=SpectralField(stacked[:, -1]),
-                            blowup_step=blowup_step)
-
-
-def simulate(cfg: SchemeConfig, trajectory_index: int = 0) -> TrajectoryRecord:
-    """Run one trajectory and record per-step norms.
-
-    A non-finite state under taming is a hard failure (TrajectoryOverflow);
-    without taming it truncates the record and sets blowup_step.
+    Returns (final states, blow-up state index per path, -1 = none).
     """
+    for x0 in x0s:
+        if np.shape(x0) != (cfg.n_modes,):
+            raise ConfigurationError(
+                f"initial states must be unbatched arrays of shape "
+                f"({cfg.n_modes},), got {np.shape(x0)}")
     engine = Engine(cfg)
-    stream = NoiseStream(cfg.seed, trajectory_index)
-    x = cfg.x0.coeffs.copy()
-    if x.ndim != 1:
-        raise ConfigurationError("simulate runs one trajectory; x0 must be unbatched")
-    states = [x]
-    blowup_step = None
+    count = len(traj)
+    # A pair is stepped as two (J, B) states, not as one (J, 2B) batch:
+    # a BLAS gemm column can differ bitwise with the batch width (seen with
+    # OpenBLAS at J = 16 and 64), which would tie the coupled studies'
+    # bytes to how the pair is laid out.
+    xs = [np.repeat(x0[:, None], count, axis=1) for x0 in x0s]
+    blowup = np.full(count, -1, dtype=np.int64)
+    if on_state is not None:
+        on_state(0, xs, engine)
     for n in range(cfg.n_steps):
-        stream.advance(n)
-        noise = engine.noise_from_gaussians(stream.gaussians(cfg.n_modes))
-        x = engine.step(x, noise)
-        if not np.all(np.isfinite(x)):
-            if cfg.taming:
+        if increments is None:
+            g = rng.normal_matrix(cfg.seed, traj, n, cfg.n_modes)
+            noise = engine.noise_from_gaussians(g)
+        else:
+            noise = increments[n]
+        new = []
+        for x in xs:
+            new.append(engine.step(x, noise))
+            if engine.taming and np.any(engine.last_drift_l2 >= 1.0):
+                bad = int(traj[int(np.argmax(engine.last_drift_l2 >= 1.0))])
+                raise TamingBoundViolation(
+                    f"tamed drift contribution of trajectory {bad} reached 1 "
+                    f"at state {n + 1}", step=n + 1, trajectory=bad)
+        finite = np.logical_and.reduce([np.isfinite(x).all(axis=0)
+                                        for x in new])
+        if not finite.all():
+            if not allow_blowup:
+                bad = int(traj[int(np.argmin(finite))])
                 raise TrajectoryOverflow(
-                    "tamed trajectory left the finite range",
-                    step=n + 1, trajectory=trajectory_index)
-            blowup_step = n + 1
-            break
-        states.append(x)
-    return _record_arrays(cfg, states, blowup_step)
-
-
-def simulate_coupled_pair(cfg: SchemeConfig, x0_a: SpectralField,
-                          x0_b: SpectralField,
-                          trajectory_index: int = 0) -> tuple[TrajectoryRecord, TrajectoryRecord]:
-    """Two trajectories driven by the identical noise sequence.
-
-    The difference process sees no noise at all, which is what turns the
-    drift's one-sided slope bound into path-wise contraction.  If either
-    path leaves the finite range (untamed runs only), both records truncate
-    at that step.
-    """
-    if x0_a.n_modes != cfg.n_modes or x0_b.n_modes != cfg.n_modes:
-        raise ConfigurationError("both initial fields must have cfg.n_modes modes")
-    engine = Engine(cfg)
-    stream = NoiseStream(cfg.seed, trajectory_index)
-    xa = x0_a.coeffs.copy()
-    xb = x0_b.coeffs.copy()
-    if xa.ndim != 1 or xb.ndim != 1:
-        raise ConfigurationError("coupled pair needs unbatched initial fields")
-    states_a, states_b = [xa], [xb]
-    blowup_step = None
-    for n in range(cfg.n_steps):
-        stream.advance(n)
-        noise = engine.noise_from_gaussians(stream.gaussians(cfg.n_modes))
-        xa = engine.step(xa, noise)
-        xb = engine.step(xb, noise)
-        finite = np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))
-        if not finite:
-            if cfg.taming:
-                raise TrajectoryOverflow(
-                    "tamed coupled pair left the finite range",
-                    step=n + 1, trajectory=trajectory_index)
-            blowup_step = n + 1
-            break
-        states_a.append(xa)
-        states_b.append(xb)
-    return (_record_arrays(cfg, states_a, blowup_step),
-            _record_arrays(cfg, states_b, blowup_step))
+                    f"trajectory {bad} left the finite range at state "
+                    f"{n + 1} (dt={cfg.dt:g})", step=n + 1, trajectory=bad)
+            blowup[(~finite) & (blowup < 0)] = n + 1
+            dead = blowup >= 0
+            for x, x_new in zip(xs, new):
+                x_new[:, dead] = x[:, dead]
+        xs = new
+        if on_state is not None:
+            on_state(n + 1, xs, engine)
+    return xs, blowup

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import ConfigurationError
 from .spectral import eigenvalues
 
@@ -110,35 +109,6 @@ def classify_regularity(spec: CovarianceSpec) -> NoiseRegularity:
                            trace_class=decay > 1.0)
 
 
-class NoiseStream:
-    """Per-trajectory Gaussian stream addressed by (seed, trajectory, step).
-
-    Each step index owns an unbounded sequence of standard normals, consumed
-    through ``gaussians``.  Identical (seed, trajectory, step, draw order)
-    always yields identical numbers, no matter which process or batch slice
-    asks, which is what makes worker counts irrelevant to the output.
-    """
-
-    def __init__(self, seed: int, trajectory_index: int, step: int = 0):
-        self.seed = int(seed)
-        self.trajectory_index = int(trajectory_index)
-        self.step = int(step)
-        self._cursor = 0
-
-    def advance(self, step: int) -> None:
-        """Jump to a step index; the draw cursor restarts at zero."""
-        self.step = int(step)
-        self._cursor = 0
-
-    def gaussians(self, n: int) -> np.ndarray:
-        """Next n standard normals for the current step, shape (n,)."""
-        traj = np.array([self.trajectory_index], dtype=np.uint64)
-        out = rng.normal_matrix(self.seed, traj, self.step,
-                                self._cursor + n)[self._cursor:, 0]
-        self._cursor += n
-        return out
-
-
 def increment_scale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     """Per-mode standard deviation sqrt(q_j dt) of a plain increment."""
     if dt <= 0:
@@ -156,12 +126,6 @@ def stationary_step_scale(spec: CovarianceSpec, dt: float) -> np.ndarray:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     lam = eigenvalues(spec.n_modes)
     return np.sqrt(spec.mode_weights * (-np.expm1(-2.0 * lam * dt)) / (2.0 * lam))
-
-
-def sample_increment(spec: CovarianceSpec, dt: float,
-                     stream: NoiseStream) -> np.ndarray:
-    """One Q-Wiener increment over dt in coefficient form, shape (J,)."""
-    return increment_scale(spec, dt) * stream.gaussians(spec.n_modes)
 
 
 def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from tamedspde import cli, noise, spectral
+from tamedspde import cli, noise, rng, spectral
 from tamedspde.estimators import (
     EXP_NEG_L2SQ,
     L2_SQUARED,
@@ -26,6 +26,7 @@ from tamedspde.estimators import (
     ergodic_average,
     final_mode_statistics,
     fit_rate,
+    path_norms,
     taming_headroom,
     weak_order_study,
 )
@@ -34,9 +35,9 @@ from tamedspde.gaussian_oracle import (
     linear_invariant_variance,
     linear_scheme_law,
 )
-from tamedspde.integrators import Engine, SchemeConfig, simulate
+from tamedspde.integrators import SchemeConfig, evolve
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
-from tamedspde.noise import NoiseStream, increment_scale, step_discrete_convolution
+from tamedspde.noise import increment_scale, step_discrete_convolution
 
 _LINES = []
 
@@ -123,20 +124,17 @@ def test_zero_drift_reduces_to_discrete_convolution():
                        x0=spectral.multi_mode(16), seed=7, taming=True)
     decay = spectral.semigroup_factors(cfg.n_modes, cfg.dt)
     scale = increment_scale(cfg.cov, cfg.dt)
-    identical = True
-    for traj in range(3):
-        engine = Engine(cfg)
-        stream = NoiseStream(cfg.seed, traj)
-        x = cfg.x0.coeffs.copy()
+    traj = np.arange(3, dtype=np.uint64)
+    states = []
+    evolve(cfg, traj, [cfg.x0.coeffs],
+           on_state=lambda idx, xs, engine: states.append(xs[0].copy()))
+    identical = len(states) == cfg.n_steps + 1
+    for i in range(3):
         z = cfg.x0.coeffs.copy()
         for n in range(cfg.n_steps):
-            stream.advance(n)
-            g = stream.gaussians(cfg.n_modes)
-            x = engine.step(x, engine.noise_from_gaussians(g))
-            z = step_discrete_convolution(z, scale * g, decay)
-            identical = identical and np.array_equal(x, z)
-        rec = simulate(cfg, trajectory_index=traj)
-        identical = identical and np.array_equal(rec.final_state.coeffs, x)
+            g = rng.normal_matrix(cfg.seed, traj[i:i + 1], n, cfg.n_modes)
+            z = step_discrete_convolution(z, scale * g[:, 0], decay)
+            identical = identical and np.array_equal(states[n + 1][:, i], z)
     elapsed = time.perf_counter() - t0
     ok = identical and elapsed < 1.0
     _record(4, "zero-drift path equals noise recursion bitwise", ok,
@@ -171,8 +169,8 @@ def test_untamed_cubic_paths_blow_up():
     cfg = SchemeConfig(n_modes=16, n_nodes=64, dt=0.25, n_steps=200,
                        cov=noise.white(16), nl=polynomial([0.0, 0.0, 0.0, -1.0]),
                        x0=spectral.unit_mode(16, 1, 10.0), seed=0, taming=False)
-    steps = [simulate(cfg, trajectory_index=i).blowup_step for i in range(100)]
-    fraction = sum(s is not None and s <= 200 for s in steps) / 100.0
+    steps = path_norms(cfg, 100).blowup_steps.tolist()
+    fraction = sum(1 <= s <= 200 for s in steps) / 100.0
     # pinned from a pilot run: with this seed every path explodes at the
     # same step, before noise has any chance to spread them out
     pinned = all(s == 7 for s in steps)
@@ -334,6 +332,17 @@ _DETERMINISM_CONFIGS = {
         "discretization": {"dt": 0.02, "horizon": 50.0, "noise_mode": "exact"},
         "sampling": {"n_paths": 1000, "seed": 0},
         "params": {"burn_in": 10.0, "functional": "l2_squared"},
+        "output": {"formats": ["csv"]},
+    },
+    # two blocks of untamed cubic paths, some of which blow up
+    "simulate": {
+        "experiment": "simulate",
+        "model": {"nonlinearity": {"name": "dissipative_cubic", "c": 0.0},
+                  "covariance": "white",
+                  "x0": {"kind": "unit_mode", "mode": 1, "amplitude": 5.0},
+                  "n_modes": 16, "n_nodes": 64},
+        "discretization": {"dt": 0.1, "n_steps": 30, "taming": False},
+        "sampling": {"n_paths": 1100, "seed": 0},
         "output": {"formats": ["csv"]},
     },
 }

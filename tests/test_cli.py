@@ -7,6 +7,10 @@ statistical content is covered elsewhere.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -162,6 +166,43 @@ def test_tamed_overflow_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric failure" in err
     assert "trajectory 0" in err and "state 1" in err
+
+
+# Inflating the engine's gain pushes the tamed drift contribution far past
+# the bound 1 that the scheme guarantees.
+_INFLATED_GAIN_RUN = """
+import sys
+from tamedspde import cli, integrators
+
+engine_init = integrators.Engine.__init__
+
+def inflated(engine, cfg):
+    engine_init(engine, cfg)
+    engine.gain = engine.gain * 1e6
+
+integrators.Engine.__init__ = inflated
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_taming_bound_violation_exits_3_under_optimize(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        model={"nonlinearity": {"name": "dissipative_cubic", "c": 1.0},
+               "covariance": "white", "n_modes": 4, "n_nodes": 16,
+               "x0": {"kind": "unit_mode", "amplitude": 5.0}},
+        sampling={"n_paths": 2, "seed": 0})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # -O strips assert statements; the bound check must survive it
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INFLATED_GAIN_RUN, "simulate",
+         "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure" in proc.stderr
+    assert "trajectory 0" in proc.stderr and "state 1" in proc.stderr
 
 
 def test_untamed_blowup_is_recorded_not_fatal(tmp_path):

@@ -20,7 +20,8 @@ from tamedspde.estimators import (BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   aggregate_fine_increments, contraction_rate,
                                   cost_curve, ergodic_average, estimate_moment,
                                   final_mode_statistics, fit_rate,
-                                  taming_headroom, weak_order_study)
+                                  path_norms, taming_headroom,
+                                  weak_order_study)
 from tamedspde.gaussian_oracle import (discrete_convolution_second_moment,
                                        linear_invariant_variance,
                                        linear_scheme_law)
@@ -338,6 +339,37 @@ def test_final_mode_statistics_validation():
     cfg = make_cfg(zero(), J=4, x0=zero_field(4), cov=noise.white(4))
     with pytest.raises(ConfigurationError):
         final_mode_statistics(cfg, n_paths=1)
+
+
+# --- one overflow policy for every study ------------------------------------------
+
+_STUDIES = {
+    "moment-growth": lambda cfg: estimate_moment(cfg, 2, "l2", [0.15], 4),
+    "weak-order": lambda cfg: weak_order_study(
+        cfg, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, horizon=0.5, n_paths=4),
+    "ergodic": lambda cfg: ergodic_average(cfg, EXP_NEG_L2SQ, 0.0, 0.15, 4),
+    "contraction": lambda cfg: contraction_rate(cfg, cfg.x0, zero_field(8), 4),
+    "simulate": lambda cfg: path_norms(cfg, 4),
+    "headroom": lambda cfg: taming_headroom(cfg, 4),
+    "final-state": lambda cfg: final_mode_statistics(cfg, 4),
+}
+
+
+@pytest.mark.parametrize("study", sorted(_STUDIES))
+def test_overflow_names_trajectory_and_step(study):
+    cfg = make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), x0=unit_mode(8, 1, 1e110),
+                   n_steps=3)
+    with pytest.raises(TrajectoryOverflow) as exc_info:
+        _STUDIES[study](cfg)
+    assert exc_info.value.trajectory == 0
+    assert exc_info.value.step == 1
+
+
+@pytest.mark.parametrize("study", ["moment-growth", "final-state"])
+def test_batched_x0_is_a_configuration_error(study):
+    cfg = make_cfg(zero(), x0=spectral.SpectralField(np.zeros((8, 2))))
+    with pytest.raises(ConfigurationError):
+        _STUDIES[study](cfg)
 
 
 # --- worker-count invariance --------------------------------------------------------------

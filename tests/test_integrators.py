@@ -1,4 +1,4 @@
-"""One-step maps and trajectory drivers against hand-assembled updates.
+"""One-step maps and the trajectory driver against hand-assembled updates.
 
 ``manual_step`` below rebuilds both schemes from the primitive pieces
 (semigroup factors, pseudo-spectral lift, taming quotient) with the exact
@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedspde import noise, spectral
-from tamedspde.errors import ConfigurationError, TrajectoryOverflow
-from tamedspde.integrators import (Engine, SchemeConfig, simulate,
-                                   simulate_coupled_pair, tamed_step,
-                                   untamed_step)
+from tamedspde import integrators, noise, rng, spectral
+from tamedspde.errors import (ConfigurationError, TamingBoundViolation,
+                              TrajectoryOverflow)
+from tamedspde.estimators import path_norms
+from tamedspde.integrators import Engine, SchemeConfig, evolve
 from tamedspde.nonlinearity import (allen_cahn, dissipative_cubic, linear,
                                     polynomial, zero)
 from tamedspde.spectral import SpectralField, unit_mode
@@ -133,76 +133,92 @@ def test_drift_headroom_matches_quotient_bound():
     assert engine.last_drift_l2 <= bound * (1.0 + 1e-12)
 
 
-# --- single-step helpers --------------------------------------------------------
+# --- the trajectory driver ------------------------------------------------------
 
-def test_tamed_step_helper_matches_engine():
-    cfg = make_cfg(dissipative_cubic(1.0), seed=3)
-    stream = noise.NoiseStream(3, 0)
-    out = tamed_step(cfg.x0, cfg, stream)
+def _traj(*indices):
+    return np.array(indices, dtype=np.uint64)
+
+
+def test_evolve_step_matches_engine():
+    cfg = make_cfg(dissipative_cubic(1.0), seed=3, n_steps=1)
+    (out,), _ = evolve(cfg, _traj(0), [cfg.x0.coeffs])
     engine = Engine(cfg)
-    noise_term = engine.noise_from_gaussians(noise.NoiseStream(3, 0).gaussians(6))
-    assert np.array_equal(out.coeffs, engine.step(cfg.x0.coeffs, noise_term))
-
-
-def test_tamed_step_forces_taming_on():
-    cfg = make_cfg(dissipative_cubic(1.0), taming=False, seed=5)
-    got = tamed_step(cfg.x0, cfg, noise.NoiseStream(5, 0))
-    untamed = untamed_step(cfg.x0, cfg, noise.NoiseStream(5, 0))
-    assert not np.array_equal(got.coeffs, untamed.coeffs)
+    g = rng.normal_matrix(3, _traj(0), 0, 6)
+    want = engine.step(cfg.x0.coeffs[:, None], engine.noise_from_gaussians(g))
+    assert np.array_equal(out, want)
 
 
 def test_untamed_step_overflow_raises():
     cfg = make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), taming=False,
                    x0=unit_mode(6, 1, 1e150))
     with pytest.raises(TrajectoryOverflow):
-        untamed_step(cfg.x0, cfg, noise.NoiseStream(0, 0))
+        evolve(cfg, _traj(0), [cfg.x0.coeffs])
 
 
-# --- trajectory records ----------------------------------------------------------
+def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
+    cfg = make_cfg(dissipative_cubic(1.0), x0=unit_mode(6, 1, 5.0))
+
+    class Inflated(Engine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.gain = self.gain * 1e6
+
+    monkeypatch.setattr(integrators, "Engine", Inflated)
+    with pytest.raises(TamingBoundViolation) as exc_info:
+        evolve(cfg, _traj(8, 9), [cfg.x0.coeffs])
+    assert isinstance(exc_info.value, TrajectoryOverflow)
+    assert exc_info.value.step == 1
+    assert exc_info.value.trajectory == 8
+
+
+# --- the simulate study ------------------------------------------------------------
 
 def test_simulate_record_shapes_and_determinism():
     cfg = make_cfg(dissipative_cubic(1.0), n_steps=12, seed=11)
-    rec = simulate(cfg)
-    assert rec.times.shape == rec.l2_norms.shape == rec.sup_norms.shape == (13,)
+    rec = path_norms(cfg, 1)
+    assert rec.times.shape == (13,)
+    assert rec.l2.shape == rec.sup.shape == (13, 1)
     assert np.array_equal(rec.times, 0.05 * np.arange(13))
-    assert rec.l2_norms[0] == pytest.approx(1.0, abs=1e-14)
-    assert rec.blowup_step is None
-    again = simulate(cfg)
-    assert np.array_equal(rec.l2_norms, again.l2_norms)
-    assert np.array_equal(rec.final_state.coeffs, again.final_state.coeffs)
+    assert rec.l2[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert rec.blowup_steps.tolist() == [-1]
+    again = path_norms(cfg, 1)
+    assert np.array_equal(rec.l2, again.l2)
+    assert np.array_equal(rec.sup, again.sup)
 
 
 def test_simulate_zero_steps():
     cfg = make_cfg(zero(), n_steps=0)
-    rec = simulate(cfg)
+    rec = path_norms(cfg, 2)
     assert rec.times.shape == (1,)
-    assert np.array_equal(rec.final_state.coeffs, cfg.x0.coeffs)
+    (final,), _ = evolve(cfg, _traj(0), [cfg.x0.coeffs])
+    assert np.array_equal(final[:, 0], cfg.x0.coeffs)
 
 
 def test_simulate_zero_drift_is_pure_noise_recursion():
     cfg = make_cfg(zero(), J=4, n_steps=8, seed=7, x0=unit_mode(4, 2, 0.3))
-    rec = simulate(cfg, trajectory_index=2)
+    (final,), _ = evolve(cfg, _traj(2), [cfg.x0.coeffs])
     decay = spectral.semigroup_factors(4, cfg.dt)
-    stream = noise.NoiseStream(7, 2)
+    scale = noise.increment_scale(cfg.cov, cfg.dt)
     x = cfg.x0.coeffs.copy()
     for n in range(8):
-        stream.advance(n)
-        inc = noise.sample_increment(cfg.cov, cfg.dt, stream)
+        inc = scale * rng.normal_matrix(7, _traj(2), n, 4)[:, 0]
         x = noise.step_discrete_convolution(x, inc, decay)
-    assert np.array_equal(rec.final_state.coeffs, x)
+    assert np.array_equal(final[:, 0], x)
 
 
 def test_simulate_rejects_batched_x0():
     cfg = make_cfg(zero(), x0=SpectralField(np.zeros((6, 2))))
     with pytest.raises(ConfigurationError):
-        simulate(cfg)
+        path_norms(cfg, 2)
+    with pytest.raises(ConfigurationError):
+        evolve(cfg, _traj(0), [cfg.x0.coeffs])
 
 
 def test_tamed_overflow_names_step_and_trajectory():
     cfg = make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), x0=unit_mode(6, 1, 1e110),
                    n_steps=5)
     with pytest.raises(TrajectoryOverflow) as exc_info:
-        simulate(cfg, trajectory_index=4)
+        evolve(cfg, _traj(4), [cfg.x0.coeffs])
     assert exc_info.value.step == 1
     assert exc_info.value.trajectory == 4
 
@@ -211,20 +227,23 @@ def test_untamed_blowup_truncates_record():
     cfg = make_cfg(dissipative_cubic(0.0), J=16, dt=0.25, n_steps=200,
                    taming=False, x0=unit_mode(16, 1, 10.0),
                    cov=noise.white(16))
-    rec = simulate(cfg)
-    assert rec.blowup_step is not None
-    assert 1 <= rec.blowup_step <= 200
-    assert rec.times.shape == (rec.blowup_step,)
-    assert rec.l2_norms.shape == (rec.blowup_step,)
-    assert np.all(np.isfinite(rec.final_state.coeffs))
+    rec = path_norms(cfg, 1)
+    step = int(rec.blowup_steps[0])
+    assert 1 <= step <= 200
+    # rows from the blow-up step on repeat the last finite state
+    assert np.all(rec.l2[step:, 0] == rec.l2[step - 1, 0])
+    (final,), blowup = evolve(cfg, _traj(0), [cfg.x0.coeffs],
+                              allow_blowup=True)
+    assert blowup.tolist() == [step]
+    assert np.all(np.isfinite(final))
 
 
 def test_tamed_same_start_does_not_blow_up():
     cfg = make_cfg(dissipative_cubic(0.0), J=16, dt=0.25, n_steps=200,
                    taming=True, x0=unit_mode(16, 1, 10.0), cov=noise.white(16))
-    rec = simulate(cfg)
-    assert rec.blowup_step is None
-    assert np.all(np.isfinite(rec.l2_norms))
+    rec = path_norms(cfg, 1)
+    assert rec.blowup_steps.tolist() == [-1]
+    assert np.all(np.isfinite(rec.l2))
 
 
 # --- coupled pairs ----------------------------------------------------------------
@@ -232,38 +251,54 @@ def test_tamed_same_start_does_not_blow_up():
 def test_coupled_pair_difference_sees_no_noise():
     # zero drift: the difference contracts by exactly the semigroup factor
     cfg = make_cfg(zero(), J=4, n_steps=10, seed=9)
-    rec_a, rec_b = simulate_coupled_pair(cfg, unit_mode(4, 1, 2.0),
-                                         unit_mode(4, 1, -1.0))
-    diff = rec_a.final_state.coeffs - rec_b.final_state.coeffs
+    a, b = unit_mode(4, 1, 2.0).coeffs, unit_mode(4, 1, -1.0).coeffs
+    (xa, xb), _ = evolve(cfg, _traj(0), [a, b])
     decay = spectral.semigroup_factors(4, cfg.dt)
-    want = decay ** 10 * (unit_mode(4, 1, 2.0).coeffs - unit_mode(4, 1, -1.0).coeffs)
-    assert np.allclose(diff, want, rtol=1e-9, atol=1e-15)
+    assert np.allclose((xa - xb)[:, 0], decay ** 10 * (a - b),
+                       rtol=1e-9, atol=1e-15)
 
 
 def test_coupled_pair_contracts_under_dissipative_drift():
     cfg = make_cfg(dissipative_cubic(1.0), J=8, dt=0.01, n_steps=100, seed=1)
-    rec_a, rec_b = simulate_coupled_pair(cfg, unit_mode(8, 1, 1.0),
-                                         spectral.zero_field(8))
-    dist = np.sqrt(((rec_a.final_state.coeffs
-                     - rec_b.final_state.coeffs) ** 2).sum())
+    (xa, xb), _ = evolve(cfg, _traj(0), [unit_mode(8, 1, 1.0).coeffs,
+                                         spectral.zero_field(8).coeffs])
+    dist = np.sqrt(((xa - xb) ** 2).sum())
     assert dist < 1.0 * math.exp(-0.5 * cfg.horizon)
 
 
 def test_coupled_pair_shares_one_stream():
     cfg = make_cfg(zero(), J=4, n_steps=6, seed=13)
-    rec_a, _ = simulate_coupled_pair(cfg, cfg.x0, spectral.zero_field(4),
-                                     trajectory_index=5)
-    solo = simulate(cfg, trajectory_index=5)
-    assert np.array_equal(rec_a.final_state.coeffs, solo.final_state.coeffs)
+    (xa, _), _ = evolve(cfg, _traj(5), [cfg.x0.coeffs,
+                                        spectral.zero_field(4).coeffs])
+    (solo,), _ = evolve(cfg, _traj(5), [cfg.x0.coeffs])
+    assert np.array_equal(xa, solo)
 
 
 def test_coupled_pair_validation():
     cfg = make_cfg(zero())
     with pytest.raises(ConfigurationError):
-        simulate_coupled_pair(cfg, unit_mode(5, 1), unit_mode(6, 1))
+        evolve(cfg, _traj(0), [unit_mode(5, 1).coeffs, unit_mode(6, 1).coeffs])
     with pytest.raises(ConfigurationError):
-        simulate_coupled_pair(cfg, SpectralField(np.zeros((6, 2))),
-                              unit_mode(6, 1))
+        evolve(cfg, _traj(0), [np.zeros((6, 2)), unit_mode(6, 1).coeffs])
+
+
+def test_blowup_freezes_both_states_of_a_pair():
+    cfg = make_cfg(dissipative_cubic(0.0), J=16, dt=0.25, n_steps=30,
+                   taming=False, x0=spectral.zero_field(16),
+                   cov=noise.white(16))
+    seen = []
+    _, blowup = evolve(cfg, _traj(0),
+                       [np.zeros(16), unit_mode(16, 1, 10.0).coeffs],
+                       allow_blowup=True,
+                       on_state=lambda idx, xs, engine: seen.append(
+                           [x.copy() for x in xs]))
+    step = int(blowup[0])
+    assert 1 <= step <= 30 and len(seen) == 31
+    # both states of the path freeze at the last state where both were finite
+    for later in seen[step:]:
+        assert np.array_equal(later[0], seen[step - 1][0])
+        assert np.array_equal(later[1], seen[step - 1][1])
+    assert np.all(np.isfinite(seen[-1][0])) and np.all(np.isfinite(seen[-1][1]))
 
 
 # --- configuration validation ------------------------------------------------------
@@ -305,6 +340,6 @@ def test_config_dt_max_boundary_and_horizon():
 
 def test_allen_cahn_runs_under_taming():
     cfg = make_cfg(allen_cahn(1.0), n_steps=50, seed=21)
-    rec = simulate(cfg)
-    assert rec.blowup_step is None
-    assert np.all(np.isfinite(rec.l2_norms))
+    rec = path_norms(cfg, 1)
+    assert rec.blowup_steps.tolist() == [-1]
+    assert np.all(np.isfinite(rec.l2))

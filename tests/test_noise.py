@@ -1,4 +1,5 @@
-"""Covariance families, per-trajectory streams, and the zero-drift recursion.
+"""Covariance families, the driver's addressed noise, and the zero-drift
+recursion.
 
 The explicit geometric-sum loop in ``variance_by_summation`` is the oracle
 for the closed-form variance of the discrete convolution; the Monte Carlo
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from tamedspde import noise, rng
 from tamedspde.errors import ConfigurationError
-from tamedspde.spectral import eigenvalue, eigenvalues
+from tamedspde.integrators import SchemeConfig, evolve
+from tamedspde.nonlinearity import zero
+from tamedspde.spectral import eigenvalue, eigenvalues, zero_field
 
 
 def variance_by_summation(spec, dt, n_steps):
@@ -120,36 +123,27 @@ def test_classify_rejects_explicit():
     assert noise.regularity_exponent(noise.white(4)) == 0.25
 
 
-# --- streams -----------------------------------------------------------------
+# --- addressed noise of the trajectory driver ---------------------------------
+
+def _final(seed, traj, increments=None):
+    cfg = SchemeConfig(n_modes=4, n_nodes=16, dt=0.1, n_steps=3,
+                       cov=noise.power_decay(4, 2.0), nl=zero(),
+                       x0=zero_field(4), seed=seed)
+    (x,), _ = evolve(cfg, np.array(traj, dtype=np.uint64), [np.zeros(4)],
+                     increments=increments)
+    return x
+
 
 def test_stream_is_reproducible():
-    a = noise.NoiseStream(7, 3, step=2).gaussians(6)
-    b = noise.NoiseStream(7, 3, step=2).gaussians(6)
-    assert np.array_equal(a, b)
-
-
-def test_stream_cursor_slices_one_sequence():
-    s = noise.NoiseStream(11, 0)
-    first = s.gaussians(3)
-    second = s.gaussians(2)
-    whole = noise.NoiseStream(11, 0).gaussians(5)
-    assert np.array_equal(np.concatenate([first, second]), whole)
-
-
-def test_stream_advance_resets_cursor():
-    s = noise.NoiseStream(5, 1, step=0)
-    first = s.gaussians(4)
-    s.advance(1)
-    assert not np.array_equal(s.gaussians(4), first)
-    s.advance(0)
-    assert np.array_equal(s.gaussians(4), first)
+    assert np.array_equal(_final(7, [3, 4]), _final(7, [3, 4]))
 
 
 def test_stream_address_coordinates_matter():
-    base = noise.NoiseStream(1, 0, step=0).gaussians(4)
-    assert not np.array_equal(noise.NoiseStream(2, 0, 0).gaussians(4), base)
-    assert not np.array_equal(noise.NoiseStream(1, 1, 0).gaussians(4), base)
-    assert not np.array_equal(noise.NoiseStream(1, 0, 1).gaussians(4), base)
+    base = _final(1, [0])
+    assert not np.array_equal(_final(2, [0]), base)
+    assert not np.array_equal(_final(1, [1]), base)
+    # a trajectory's noise does not depend on its batch neighbours
+    assert np.array_equal(_final(1, [5, 0])[:, 1:], base)
 
 
 # --- increments and the step map ---------------------------------------------
@@ -189,13 +183,14 @@ def test_stationary_scale_small_dt_limit():
 
 
 def test_sample_increment_is_scaled_stream_output():
-    spec = noise.power_decay(5, 2.0)
-    stream = noise.NoiseStream(42, 9, step=3)
-    got = noise.sample_increment(spec, 0.2, stream)
-    manual = (noise.increment_scale(spec, 0.2)
-              * noise.NoiseStream(42, 9, step=3).gaussians(5))
-    assert np.array_equal(got, manual)
-    assert got.shape == (5,)
+    # supplying increment_scale * addressed normals as the increments
+    # reproduces the driver's own addressed run bit for bit
+    traj = np.array([9, 2], dtype=np.uint64)
+    scale = noise.increment_scale(noise.power_decay(4, 2.0), 0.1)[:, None]
+    incs = np.stack([scale * rng.normal_matrix(42, traj, n, 4)
+                     for n in range(3)])
+    assert incs.shape == (3, 4, 2)
+    assert np.array_equal(_final(42, traj, increments=incs), _final(42, traj))
 
 
 def test_step_grouping_adds_noise_before_decay():

@@ -1,0 +1,29 @@
+"""Each demo script runs end to end on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tamedspde
+
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+_SRC = str(Path(tamedspde.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("script, args", [
+    ("convolution_rates.py", ["--modes", "8", "--levels", "3"]),
+    ("blowup_contrast.py", ["--paths", "3", "--modes", "8", "--steps", "20"]),
+    ("invariant_average_demo.py", ["--modes", "4", "--dt", "0.1",
+                                   "--horizon", "1.0", "--burn-in", "0.2",
+                                   "--paths", "8"]),
+])
+def test_script_runs(script, args):
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(_SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
