@@ -21,7 +21,7 @@ from .gaussian_oracle import (ModeGaussian, convolution_second_moment_exact,
                               discrete_convolution_second_moment,
                               linear_invariant_variance, linear_scheme_law,
                               linear_stationary_variance)
-from .integrators import Engine, SchemeConfig, evolve
+from .integrators import Engine, PathBatch, SchemeConfig, evolve
 from .estimators import (EXP_NEG_L2SQ, FUNCTIONALS, L2_SQUARED, BOUNDED_MODE1,
                          ContractionStudy, CostCurve, ErgodicStudy,
                          MCEstimate, ModeStatistics, MomentStudy, PathNorms,

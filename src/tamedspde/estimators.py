@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigurationError
-from .integrators import SchemeConfig, evolve
+from .integrators import PathBatch, SchemeConfig, evolve
 from .noise import increment_scale
 
 _PATH_BLOCK = 1024
@@ -343,8 +343,8 @@ class WeakOrderStudy:
 def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarray:
     """Sum consecutive fine increments into n_coarse coarse increments.
 
-    The step axis comes first.  The coarse levels consume exactly these
-    sums, which is the whole common-random-number coupling.
+    The step axis comes first.  This is the reference for the coupling of
+    the weak-order levels, which :func:`_weak_block` streams bitwise.
     """
     n_fine = increments.shape[0]
     if n_coarse < 1 or n_fine % n_coarse != 0:
@@ -355,20 +355,25 @@ def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarr
 
 
 def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
+    # one pass: each fine increment is drawn once and summed into one
+    # accumulator per level, which steps once its coarse increment is whole
     n_fine = level_steps[-1]
     traj = _traj(start, count)
     scale = increment_scale(cfg.cov, horizon / n_fine)[:, None]
-    fine = np.empty((n_fine, cfg.n_modes, count))
+    levels = [PathBatch(replace(cfg, dt=horizon / n, n_steps=n), traj,
+                        [cfg.x0.coeffs]) for n in level_steps]
+    ratios = [n_fine // n for n in level_steps]
+    sums = [np.empty((cfg.n_modes, count)) for _ in level_steps]
     for j in range(n_fine):
-        fine[j] = scale * rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes)
-
-    out = np.empty((len(level_steps), count))
-    for li, n_level in enumerate(level_steps):
-        level_cfg = replace(cfg, dt=horizon / n_level, n_steps=n_level)
-        (x,), _ = evolve(level_cfg, traj, [cfg.x0.coeffs],
-                         increments=aggregate_fine_increments(fine, n_level))
-        out[li] = functional.evaluate(x)
-    return out
+        fine = scale * rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes)
+        for paths, r, acc in zip(levels, ratios, sums):
+            if j % r == 0:  # numpy's sum starts from +0.0, not a copy
+                np.add(fine, 0.0, out=acc)
+            else:
+                acc += fine
+            if j % r == r - 1:
+                paths.advance(acc)
+    return np.stack([functional.evaluate(p.xs[0]) for p in levels])
 
 
 def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
@@ -425,9 +430,8 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
     levels = []
     for li, (dt, n) in enumerate(zip(dts, level_steps)):
         est = MCEstimate.from_samples(phi[li])
-        diff = phi[li] - ref
-        err = abs(float(diff.mean()))
-        err_se = float(diff.std(ddof=1) / math.sqrt(diff.size)) if diff.size >= 2 else 0.0
+        diff = MCEstimate.from_samples(phi[li] - ref)
+        err, err_se = abs(diff.value), diff.std_error
         is_ref = li == len(dts) - 1
         levels.append(WeakOrderLevel(
             dt=dt, n_steps=n, mean=est.value, std_error=est.std_error,

@@ -11,7 +11,7 @@ pseudo-spectrally, and the taming denominator uses the node-quadrature L2
 norm of f(X_n).  The untamed map is the baseline that loses moment bounds
 for superlinear f; its blow-up is an expected, recorded outcome.  The tamed
 drift contribution has L2 norm at most dt ||F|| / (1 + dt ||F||) < 1 at
-every step; :func:`evolve` checks that bound after every tamed step and
+every step; :class:`PathBatch` checks that bound after every tamed step and
 raises :class:`TamingBoundViolation` if it ever fails.
 
 Noise enters in one of two modes.  "increment" applies the semigroup to a
@@ -23,8 +23,8 @@ integral after the decay, sampled with its exact variance; it removes the
 noise-discretization bias from invariant-law experiments.
 
 States are coefficient arrays of shape (J,) or (J, B); every operation here
-is batch-transparent.  :func:`evolve` is the one trajectory driver: every
-study iterates the map through it.  Randomness is addressed, never
+is batch-transparent.  :class:`PathBatch` is the one trajectory driver, and
+:func:`evolve` runs it for most studies.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
 of batch or process layout.
 """
@@ -102,10 +102,14 @@ def _col(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
 class Engine:
     """Precomputed one-step map for a fixed configuration.
 
-    step() is pure apart from ``last_drift_l2``, which it refreshes with the
-    L2 norm of the tamed drift contribution so instrumented runs can record
-    the taming headroom without recomputing the transform.
+    step() refreshes ``last_drift_l2`` with the L2 norm of the tamed drift
+    contribution, for the taming headroom, and writes its intermediates into
+    a workspace shared by all engines; the states it returns are new arrays.
     """
+
+    # step()'s buffers for the last (n_nodes, state shape), shared by all
+    # engines; a step writes each before reading it and returns none of them
+    _work = {}
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
@@ -130,11 +134,11 @@ class Engine:
         return _col(scale, g) * g
 
     def step(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """One update of shape (J,) or (J, B) states.
+        """One update of shape (J,) or (J, B) states, as a new array.
 
         It checks nothing: the result may be non-finite, and under taming
         ``last_drift_l2`` holds the per-path drift contribution whose
-        bound the caller verifies.  :func:`evolve` does both checks.
+        bound the caller verifies.  :class:`PathBatch` does both checks.
         """
         decay = _col(self.decay, x)
         if self.zero_drift:
@@ -143,62 +147,79 @@ class Engine:
                 return decay * (x + noise)
             return decay * x + noise
 
+        # the module docstring's expressions, each operation in its order
+        key = (self.basis.shape[0],) + x.shape
+        if key not in Engine._work:
+            Engine._work = {key: (np.empty((2, key[0]) + x.shape[1:]),
+                                  np.empty(x.shape))}
+        (z, fx), coeffs = Engine._work[key]
+        inc = self.noise_mode == "increment"
         with np.errstate(over="ignore", invalid="ignore"):
-            fx = self.f(self.basis @ x)
-            coeffs = (self.basis.T @ fx) * self.weight
+            fx = self.f(np.matmul(self.basis, x, out=z), out=fx)
+            coeffs = np.matmul(self.basis.T, fx, out=coeffs)
+            coeffs *= self.weight
             if self.taming:
-                norm = np.sqrt((fx * fx).sum(axis=0) * self.weight)
-                drift = _col(self.gain, x) * coeffs / (1.0 + self.dt * norm)
-                self.last_drift_l2 = np.sqrt((drift * drift).sum(axis=0))
-                if self.noise_mode == "increment":
-                    return decay * (x + noise) + drift
-                return decay * x + drift + noise
-            if self.noise_mode == "increment":
-                return decay * (x + self.dt * coeffs + noise)
-            return decay * (x + self.dt * coeffs) + noise
+                norm = np.sqrt(np.multiply(fx, fx, out=z).sum(axis=0)
+                               * self.weight)
+                drift = np.multiply(_col(self.gain, x), coeffs, out=coeffs)
+                drift /= 1.0 + self.dt * norm
+                # decay * (x + noise) + drift, or decay * x + drift + noise
+                new = np.add(x, noise) if inc else x.copy()
+                new *= decay
+                new += drift
+                drift *= drift
+                self.last_drift_l2 = np.sqrt(drift.sum(axis=0))
+            else:
+                # decay * (x + dt coeffs + noise), or ... + noise after decay
+                new = np.add(x, np.multiply(coeffs, self.dt, out=coeffs))
+                if inc:
+                    new += noise
+                new *= decay
+            if not inc:
+                new += noise
+        return new
 
 
-def evolve(cfg: SchemeConfig, traj: np.ndarray, x0s, increments=None,
-           on_state=None, allow_blowup: bool = False):
-    """Step trajectories traj (global indices, uint64) from each (J,) x0.
+class PathBatch:
+    """Trajectories traj (global indices, uint64) stepped in lockstep.
 
-    Each entry of x0s starts one (J, len(traj)) state; all of them see the
-    same noise, so two entries make a synchronously coupled pair.  Without
-    ``increments`` the noise of step n is addressed by (cfg.seed, traj, n)
-    through ``rng.normal_matrix``; otherwise ``increments[n]`` of shape
-    (J, len(traj)) is used as the noise term as it is.
-
-    on_state(state_index, states, engine) fires for the initial states and
-    after every step.  A tamed drift contribution of 1 or more raises
-    TamingBoundViolation.  A non-finite state raises TrajectoryOverflow,
-    unless allow_blowup is set: then the path freezes at its last finite
-    states and its first non-finite state index is recorded.
-
-    Returns (final states, blow-up state index per path, -1 = none).
+    Each entry of x0s starts one (J, len(traj)) state of ``xs``; all see the
+    same noise, so two entries make a synchronously coupled pair.  ``n`` is
+    the current state index, ``blowup`` each path's first non-finite one.
     """
-    for x0 in x0s:
-        if np.shape(x0) != (cfg.n_modes,):
-            raise ConfigurationError(
-                f"initial states must be unbatched arrays of shape "
-                f"({cfg.n_modes},), got {np.shape(x0)}")
-    engine = Engine(cfg)
-    count = len(traj)
-    # A pair is stepped as two (J, B) states, not as one (J, 2B) batch:
-    # a BLAS gemm column can differ bitwise with the batch width (seen with
-    # OpenBLAS at J = 16 and 64), which would tie the coupled studies'
-    # bytes to how the pair is laid out.
-    xs = [np.repeat(x0[:, None], count, axis=1) for x0 in x0s]
-    blowup = np.full(count, -1, dtype=np.int64)
-    if on_state is not None:
-        on_state(0, xs, engine)
-    for n in range(cfg.n_steps):
-        if increments is None:
+
+    def __init__(self, cfg: SchemeConfig, traj: np.ndarray, x0s,
+                 allow_blowup: bool = False):
+        for x0 in x0s:
+            if np.shape(x0) != (cfg.n_modes,):
+                raise ConfigurationError(
+                    f"initial states must be unbatched arrays of shape "
+                    f"({cfg.n_modes},), got {np.shape(x0)}")
+        self.cfg, self.traj, self.allow_blowup = cfg, traj, allow_blowup
+        self.engine = Engine(cfg)
+        # A pair is stepped as two (J, B) states, not as one (J, 2B) batch:
+        # a BLAS gemm column can differ bitwise with the batch width (seen
+        # with OpenBLAS at J = 16 and 64), which would tie the coupled
+        # studies' bytes to how the pair is laid out.
+        self.xs = [np.repeat(x0[:, None], len(traj), axis=1) for x0 in x0s]
+        self.blowup = np.full(len(traj), -1, dtype=np.int64)
+        self.n = 0
+
+    def advance(self, noise=None) -> None:
+        """Step every state on the given (J, B) noise term, else on the
+        noise addressed by (cfg.seed, traj, n).  A tamed drift contribution
+        of 1 or more raises TamingBoundViolation.  A non-finite state raises
+        TrajectoryOverflow, unless allow_blowup is set: then the path
+        freezes, and once all are frozen none is stepped any more."""
+        cfg, engine, traj, n = self.cfg, self.engine, self.traj, self.n
+        self.n += 1
+        if (self.blowup >= 0).all():
+            return
+        if noise is None:
             g = rng.normal_matrix(cfg.seed, traj, n, cfg.n_modes)
             noise = engine.noise_from_gaussians(g)
-        else:
-            noise = increments[n]
         new = []
-        for x in xs:
+        for x in self.xs:
             new.append(engine.step(x, noise))
             if engine.taming and np.any(engine.last_drift_l2 >= 1.0):
                 bad = int(traj[int(np.argmax(engine.last_drift_l2 >= 1.0))])
@@ -208,16 +229,27 @@ def evolve(cfg: SchemeConfig, traj: np.ndarray, x0s, increments=None,
         finite = np.logical_and.reduce([np.isfinite(x).all(axis=0)
                                         for x in new])
         if not finite.all():
-            if not allow_blowup:
+            if not self.allow_blowup:
                 bad = int(traj[int(np.argmin(finite))])
                 raise TrajectoryOverflow(
                     f"trajectory {bad} left the finite range at state "
                     f"{n + 1} (dt={cfg.dt:g})", step=n + 1, trajectory=bad)
-            blowup[(~finite) & (blowup < 0)] = n + 1
-            dead = blowup >= 0
-            for x, x_new in zip(xs, new):
+            self.blowup[(~finite) & (self.blowup < 0)] = n + 1
+            dead = self.blowup >= 0
+            for x, x_new in zip(self.xs, new):
                 x_new[:, dead] = x[:, dead]
-        xs = new
+        self.xs = new
+
+
+def evolve(cfg: SchemeConfig, traj: np.ndarray, x0s, on_state=None,
+           allow_blowup: bool = False):
+    """Run a :class:`PathBatch` through cfg.n_steps steps of addressed noise;
+    on_state(state_index, states, engine) fires for the initial states and
+    after every step.  Returns (final states, blow-up state index per path)."""
+    paths = PathBatch(cfg, traj, x0s, allow_blowup)
+    for n in range(cfg.n_steps + 1):
+        if n > 0:
+            paths.advance()
         if on_state is not None:
-            on_state(n + 1, xs, engine)
-    return xs, blowup
+            on_state(n, paths.xs, paths.engine)
+    return paths.xs, paths.blowup

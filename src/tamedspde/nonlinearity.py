@@ -35,23 +35,25 @@ from .spectral import GridField, SpectralField, analyze, eigenvalue, lp_norm, sy
 
 
 # Scalar kernels live at module level (not closures) so Nonlinearity values
-# pickle cleanly into worker processes.
+# pickle cleanly into worker processes.  With or without ``out``, a reaction
+# kernel does the same operations in the same order: results are bitwise equal.
 
 def _zero_fn(z):
     return np.zeros_like(z)
 
 
-def _linear_fn(z, slope):
-    return slope * z
+def _linear_fn(z, slope, out=None):
+    return np.multiply(slope, z, out=out)
 
 
 def _constant_fn(z, value):
     return np.full_like(z, value)
 
 
-def _cubic_fn(z, linear):
+def _cubic_fn(z, linear, out=None):
     # f(z) = -z^3 - linear * z; allen_cahn reuses this with linear = -a
-    return -(z * z * z) - linear * z
+    cube = np.multiply(np.multiply(z, z, out=out), z, out=out)
+    return np.subtract(np.negative(cube, out=out), linear * z, out=out)
 
 
 def _cubic_d1(z, linear):
@@ -62,8 +64,13 @@ def _cubic_d2(z):
     return -6.0 * z
 
 
-def _poly_fn(z, coeffs):
-    return npoly.polyval(z, coeffs)
+def _poly_fn(z, coeffs, out=None):
+    # Horner in the order of npoly.polyval: z*0 + c[-1], then *z + c[-i]
+    acc = np.add(np.multiply(z, 0, out=out), coeffs[-1], out=out)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

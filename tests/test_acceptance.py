@@ -299,6 +299,8 @@ def test_step_count_bound_in_feasible_regime():
 
 # -- 11 ---------------------------------------------------------------------
 
+# Every config has more paths than one block of 1024, so workers 2
+# really runs a process pool.
 _DETERMINISM_CONFIGS = {
     "moment-growth": {
         "experiment": "moment-growth",
@@ -318,7 +320,7 @@ _DETERMINISM_CONFIGS = {
                   "x0": {"kind": "unit_mode", "mode": 1},
                   "n_modes": 16, "n_nodes": 64},
         "discretization": {"dt": 0.01, "n_steps": 500},
-        "sampling": {"n_paths": 100, "seed": 0},
+        "sampling": {"n_paths": 1100, "seed": 0},
         "params": {"x0_a": {"kind": "unit_mode", "mode": 1},
                    "x0_b": {"kind": "zero"}},
         "output": {"formats": ["csv"]},
@@ -330,8 +332,21 @@ _DETERMINISM_CONFIGS = {
                   "x0": {"kind": "unit_mode", "mode": 1},
                   "n_modes": 16, "n_nodes": 64},
         "discretization": {"dt": 0.02, "horizon": 50.0, "noise_mode": "exact"},
-        "sampling": {"n_paths": 1000, "seed": 0},
+        "sampling": {"n_paths": 1100, "seed": 0},
         "params": {"burn_in": 10.0, "functional": "l2_squared"},
+        "output": {"formats": ["csv"]},
+    },
+    # two blocks of the streamed weak-order kernel
+    "weak-order": {
+        "experiment": "weak-order",
+        "model": {"nonlinearity": {"name": "dissipative_cubic", "c": 1.0},
+                  "covariance": {"kind": "power_decay", "decay": 3.0},
+                  "x0": {"kind": "unit_mode", "mode": 1},
+                  "n_modes": 16, "n_nodes": 64},
+        "discretization": {"horizon": 1.0,
+                           "dt_list": [2.0 ** -k for k in range(2, 7)]},
+        "sampling": {"n_paths": 1100, "seed": 0},
+        "params": {"functional": "exp_neg_l2sq"},
         "output": {"formats": ["csv"]},
     },
     # two blocks of untamed cubic paths, some of which blow up

@@ -8,14 +8,16 @@ the reproducibility contract the CSV outputs rely on.
 """
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tamedspde import noise, spectral
+from tamedspde import noise, rng, spectral
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
-from tamedspde.estimators import (BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
+from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   L2_SQUARED, MCEstimate,
                                   aggregate_fine_increments, contraction_rate,
                                   cost_curve, ergodic_average, estimate_moment,
@@ -25,7 +27,7 @@ from tamedspde.estimators import (BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
 from tamedspde.gaussian_oracle import (discrete_convolution_second_moment,
                                        linear_invariant_variance,
                                        linear_scheme_law)
-from tamedspde.integrators import SchemeConfig
+from tamedspde.integrators import PathBatch, SchemeConfig
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
 from tamedspde.spectral import eigenvalue, semigroup_factors, unit_mode, zero_field
 
@@ -170,6 +172,63 @@ def test_aggregate_fine_increments_sums_consecutive():
         aggregate_fine_increments(inc, 5)
     with pytest.raises(ConfigurationError):
         aggregate_fine_increments(inc, 0)
+
+
+def test_in_order_accumulation_is_the_aggregation_bitwise():
+    # starting each coarse step at +0.0 and adding its fine increments in
+    # order, as the streamed weak-order block does, is numpy's sum
+    r_ = np.random.default_rng(5)
+    for ratio in range(1, 65):
+        inc = r_.normal(size=(3 * ratio, 4, 5))
+        inc *= 10.0 ** r_.integers(-8, 9, size=inc.shape)  # order matters
+        inc[:ratio, 0, 0] = -0.0             # so does the start: not a copy
+        want = aggregate_fine_increments(inc, 3)
+        got = np.empty_like(want)
+        for j, fine in enumerate(inc):
+            if j % ratio == 0:
+                got[j // ratio] = fine + 0.0
+            else:
+                got[j // ratio] += fine
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ratio
+
+
+def test_streamed_weak_block_matches_materialised_levels():
+    # reference: every fine increment stored, aggregated per level, and each
+    # level stepped on its own, as the weak-order block used to do it
+    cfg = make_cfg(dissipative_cubic(1.0), J=4, dt=0.25, n_steps=4,
+                   cov=noise.power_decay(4, 3.0))
+    level_steps = [4, 8, 16, 32]
+    scale = noise.increment_scale(cfg.cov, 1.0 / 32)[:, None]
+    for start, count in ((0, 1024), (1024, 76)):   # the blocks of 1100 paths
+        got = _weak_block(start, count, cfg=cfg, horizon=1.0,
+                          level_steps=level_steps, functional=EXP_NEG_L2SQ)
+        traj = np.arange(start, start + count, dtype=np.uint64)
+        fine = np.stack([scale * rng.normal_matrix(cfg.seed, traj, j, 4)
+                         for j in range(32)])
+        for li, n in enumerate(level_steps):
+            paths = PathBatch(replace(cfg, dt=1.0 / n, n_steps=n), traj,
+                              [cfg.x0.coeffs])
+            for inc in aggregate_fine_increments(fine, n):
+                paths.advance(inc)
+            assert np.array_equal(got[li],
+                                  EXP_NEG_L2SQ.evaluate(paths.xs[0])), n
+
+
+def test_weak_block_memory_does_not_grow_with_fine_steps():
+    # same level count, 16x the fine steps: a stored (n_fine, J, B) buffer
+    # would grow the peak about 14x here
+    cfg = make_cfg(dissipative_cubic(1.0), J=16, dt=0.25, n_steps=4)
+    peaks = []
+    for n_fine in (64, 1024):
+        tracemalloc.start()
+        try:
+            _weak_block(0, 64, cfg=cfg, horizon=1.0,
+                        level_steps=[n_fine // 16, n_fine // 4, n_fine],
+                        functional=EXP_NEG_L2SQ)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_weak_order_matches_analytic_self_curve():

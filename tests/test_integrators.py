@@ -9,6 +9,8 @@ decay identities.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedspde import integrators, noise, rng, spectral
+from tamedspde.config import parse_config
 from tamedspde.errors import (ConfigurationError, TamingBoundViolation,
                               TrajectoryOverflow)
 from tamedspde.estimators import path_norms
@@ -50,6 +53,9 @@ def manual_step(cfg, x, noise_term):
     return decay * (x + cfg.dt * coeffs) + noise_term
 
 
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def make_cfg(nl, J=6, dt=0.05, n_steps=10, taming=True, mode="increment",
              seed=0, x0=None, cov=None):
     return SchemeConfig(n_modes=J, n_nodes=4 * J, dt=dt, n_steps=n_steps,
@@ -60,13 +66,18 @@ def make_cfg(nl, J=6, dt=0.05, n_steps=10, taming=True, mode="increment",
 
 # --- engine vs manual oracle ---------------------------------------------------
 
-@settings(max_examples=20)
+_REACTIONS = [dissipative_cubic(1.0), allen_cahn(2.0), linear(1.5),
+              polynomial([0.5, -1.0, 0.0, -1.0])]
+
+
+@settings(max_examples=40)
 @given(seed=st.integers(0, 5000),
        taming=st.booleans(),
        mode=st.sampled_from(["increment", "exact"]),
-       batched=st.booleans())
-def test_step_matches_manual_assembly(seed, taming, mode, batched):
-    cfg = make_cfg(dissipative_cubic(1.0), taming=taming, mode=mode, seed=seed)
+       batched=st.booleans(),
+       nl=st.sampled_from(_REACTIONS))
+def test_step_matches_manual_assembly(seed, taming, mode, batched, nl):
+    cfg = make_cfg(nl, taming=taming, mode=mode, seed=seed)
     engine = Engine(cfg)
     rng = np.random.default_rng(seed)
     shape = (cfg.n_modes, 3) if batched else (cfg.n_modes,)
@@ -131,6 +142,38 @@ def test_drift_headroom_matches_quotient_bound():
     fnorm = drift_norm(cfg.x0, cfg.nl, cfg.n_nodes)
     bound = cfg.dt * fnorm / (1.0 + cfg.dt * fnorm)
     assert engine.last_drift_l2 <= bound * (1.0 + 1e-12)
+
+
+# --- the step workspace ------------------------------------------------------------
+
+@pytest.mark.parametrize("taming", [True, False])
+def test_step_result_survives_the_next_step(taming):
+    # the step's intermediates are reused from step to step; its results are not
+    cfg = make_cfg(dissipative_cubic(1.0), taming=taming)
+    engine = Engine(cfg)
+    x, noise_term = np.random.default_rng(3).normal(size=(2, cfg.n_modes, 5))
+    first = engine.step(x, noise_term)
+    l2 = engine.last_drift_l2
+    kept, kept_l2 = first.copy(), np.copy(l2)
+    engine.step(first, noise_term)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(l2, kept_l2)
+    assert np.array_equal(engine.step(x, noise_term), kept)
+
+
+def test_engines_on_different_grids_step_correctly_in_turn():
+    # equal (J, B), different n_nodes: each step sees its own grid
+    cfg_a = make_cfg(dissipative_cubic(1.0))
+    cfg_b = replace(cfg_a, n_nodes=5 * cfg_a.n_modes)
+    engines = [Engine(cfg_a), Engine(cfg_b)]
+    r = np.random.default_rng(4)
+    xs = [r.normal(size=(cfg_a.n_modes, 3))] * 2
+    for _ in range(3):
+        noise_term = r.normal(size=(cfg_a.n_modes, 3))
+        new = [e.step(x, noise_term) for e, x in zip(engines, xs)]
+        for cfg, x, y in zip((cfg_a, cfg_b), xs, new):
+            assert np.array_equal(y, manual_step(cfg, x, noise_term))
+        xs = new
 
 
 # --- the trajectory driver ------------------------------------------------------
@@ -236,6 +279,24 @@ def test_untamed_blowup_truncates_record():
                               allow_blowup=True)
     assert blowup.tolist() == [step]
     assert np.all(np.isfinite(final))
+
+
+def test_dead_paths_are_not_stepped(monkeypatch):
+    # configs/blowup.yaml: all 100 paths are dead at state 7 of 200; the
+    # later states repeat the frozen ones without drawing or stepping
+    cfg = parse_config(str(_CONFIGS / "blowup.yaml")).scheme
+    calls = []
+    step = Engine.step
+    monkeypatch.setattr(Engine, "step",
+                        lambda e, x, g: calls.append(1) or step(e, x, g))
+    states = []
+    _, blowup = evolve(cfg, _traj(*range(100)), [cfg.x0.coeffs],
+                       on_state=lambda n, xs, e: states.append(xs[0]),
+                       allow_blowup=True)
+    assert len(calls) == 7
+    assert blowup.tolist() == [7] * 100
+    assert len(states) == cfg.n_steps + 1
+    assert all(np.array_equal(s, states[6]) for s in states[7:])
 
 
 def test_tamed_same_start_does_not_blow_up():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tamedspde import noise, rng
 from tamedspde.errors import ConfigurationError
-from tamedspde.integrators import SchemeConfig, evolve
+from tamedspde.integrators import PathBatch, SchemeConfig, evolve
 from tamedspde.nonlinearity import zero
 from tamedspde.spectral import eigenvalue, eigenvalues, zero_field
 
@@ -129,9 +129,14 @@ def _final(seed, traj, increments=None):
     cfg = SchemeConfig(n_modes=4, n_nodes=16, dt=0.1, n_steps=3,
                        cov=noise.power_decay(4, 2.0), nl=zero(),
                        x0=zero_field(4), seed=seed)
-    (x,), _ = evolve(cfg, np.array(traj, dtype=np.uint64), [np.zeros(4)],
-                     increments=increments)
-    return x
+    traj = np.array(traj, dtype=np.uint64)
+    if increments is None:
+        (x,), _ = evolve(cfg, traj, [np.zeros(4)])
+        return x
+    paths = PathBatch(cfg, traj, [np.zeros(4)])
+    for inc in increments:
+        paths.advance(inc)
+    return paths.xs[0]
 
 
 def test_stream_is_reproducible():

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,30 @@ def test_polynomial_evaluation_order():
     p = nl.polynomial([1.0, 2.0, -1.0])
     assert p.f(np.array([2.0]))[0] == pytest.approx(1.0 + 4.0 - 4.0)
     assert p.fprime(np.array([2.0]))[0] == pytest.approx(2.0 - 4.0)
+
+
+_COEFFS = [0.5, -1.0, 0.0, -1.0, 2.0]
+
+
+@pytest.mark.parametrize("reaction, reference", [
+    (nl.linear(1.5), lambda z: -1.5 * z),
+    (nl.dissipative_cubic(1.0), lambda z: -(z * z * z) - 1.0 * z),
+    (nl.allen_cahn(2.0), lambda z: -(z * z * z) - (-2.0) * z),
+    (nl.polynomial(_COEFFS), lambda z: npoly.polyval(z, _COEFFS)),
+    (nl.polynomial([3.0]), lambda z: npoly.polyval(z, [3.0])),
+], ids=["linear", "cubic", "allen_cahn", "polynomial", "constant"])
+def test_kernels_with_out_match_allocating_calls_bitwise(reaction, reference):
+    # the engine passes a reused buffer as out; every bit must be as without
+    z = np.random.default_rng(0).normal(scale=3.0, size=(16, 7))
+    z[0, :6] = [np.inf, -np.inf, np.nan, 1e200, -1e200, -0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference(z)
+        alloc = reaction.f(z)
+        out = np.full_like(z, 7.0)
+        got = reaction.f(z, out=out)
+    assert got is out
+    assert np.array_equal(alloc.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # --- audit -------------------------------------------------------------------
