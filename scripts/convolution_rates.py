@@ -31,7 +31,7 @@ def main() -> None:
     for label, cov in cases:
         curve = convolution_weak_error_curve(cov, args.t_fix, dts)
         print(f"{label} covariance (2 x regularity exponent = "
-              f"{2.0 * noise.regularity_exponent(cov):g}):")
+              f"{2.0 * noise.classify_regularity(cov).exponent:g}):")
         for dt, err in curve:
             print(f"  dt {dt:<12.8f} |weak error| {err:.6e}")
         fit = fit_rate([dt for dt, _ in curve], [err for _, err in curve])

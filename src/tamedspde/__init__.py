@@ -5,12 +5,11 @@ scheme with closed-form Gaussian oracles for everything linear."""
 from .errors import (ConfigurationError, TamingBoundViolation,
                      TrajectoryOverflow)
 from .spectral import (GridField, SpectralField, analyze, apply_fractional,
-                       apply_phi1, apply_semigroup, bump_profile,
-                       collocation_nodes, eigenvalue, eigenvalues, l2_norm,
-                       lp_norm, multi_mode, sup_norm, synthesize, unit_mode,
-                       zero_field)
+                       bump_profile, collocation_nodes, eigenvalue,
+                       eigenvalues, l2_norm, lp_norm, multi_mode, sup_norm,
+                       synthesize, unit_mode, zero_field)
 from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
-                    explicit_covariance, power_decay, regularity_exponent,
+                    explicit_covariance, power_decay,
                     step_discrete_convolution, white)
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,
                            apply_nemytskii, audit_assumptions,

@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +38,6 @@ from .noise import classify_regularity
 from .nonlinearity import audit_assumptions
 
 _CSV_VERSION = "tamedspde-csv v1"
-
-
-@dataclass(frozen=True, eq=False)
-class RunManifest:
-    experiment: str
-    version: str
-    config_hash: str
-    seed: int
-    wall_time_s: float
-    out_dir: str
-    outputs: tuple
-    warnings: tuple
-    data: dict
 
 
 def _fmt(value) -> str:
@@ -89,35 +76,12 @@ def _write_json(path: Path, payload: dict) -> None:
                     + "\n", encoding="utf-8")
 
 
-_GP_BODY = {
-    "simulate": (
-        'set xlabel "t"\nset ylabel "L2 norm"\n'
-        'plot csv using 2:3 with dots title "paths"\n'),
-    "moment-growth": (
-        'set xlabel "t"\nset ylabel "moment estimate"\n'
-        'plot csv using 1:2:3 with yerrorlines title "moment"\n'),
-    "weak-order": (
-        'set logscale xy\nset xlabel "dt"\nset ylabel "weak error"\n'
-        'plot csv using 1:5 with linespoints title "error vs reference"\n'),
-    "ergodic": (
-        'set ylabel "estimate"\nset xrange [-0.5:1.5]\n'
-        'plot csv using 0:2:3 with yerrorbars title "estimators"\n'),
-    "contraction": (
-        'set xlabel "path"\nset ylabel "decay rate"\n'
-        'plot csv using 1:2 with points title "per-path rate"\n'),
-    "cost-curve": (
-        'set logscale xy\nset xlabel "eps"\nset ylabel "steps"\n'
-        'plot csv using 1:4 with linespoints title "N(eps)"\n'),
-    "audit": "# tabular report; nothing to plot\n",
-}
-
-
 def _write_gp(path: Path, experiment: str) -> None:
     header = (f"# gnuplot script for {experiment}.csv\n"
               'set datafile separator ","\n'
               "set key autotitle columnhead\n"
               f'csv = "{experiment}.csv"\n')
-    path.write_text(header + _GP_BODY[experiment], encoding="utf-8")
+    path.write_text(header + _EXPERIMENTS[experiment][1], encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +210,14 @@ def _run_audit(cfg: ExperimentConfig):
                     "trace_class": reg.trace_class}
     except ConfigurationError:
         reg_dict = None
-    summary = {"nonlinearity": nl.name, "report": report.as_dict(),
+    summary = {"nonlinearity": nl.name, "report": asdict(report),
                "declared_sup_fprime": nl.sup_fprime,
                "declared_growth_exponent": nl.growth_exponent,
                "certifies_second_moment": nl.certifies_second_moment,
                "certifies_all_moments": nl.certifies_all_moments,
                "note": nl.note, "noise_regularity": reg_dict}
     rows = [("nonlinearity", nl.name)]
-    rows += [(k, v) for k, v in report.as_dict().items()]
+    rows += list(asdict(report).items())
     rows += [("certifies_second_moment", nl.certifies_second_moment),
              ("certifies_all_moments", nl.certifies_all_moments)]
     if reg_dict is not None:
@@ -283,24 +247,49 @@ def _run_audit(cfg: ExperimentConfig):
     return ("key", "value"), rows, summary, {}
 
 
-_DISPATCH = {
-    "simulate": _run_simulate,
-    "moment-growth": _run_moment_growth,
-    "weak-order": _run_weak_order,
-    "ergodic": _run_ergodic,
-    "contraction": _run_contraction,
-    "cost-curve": _run_cost_curve,
-    "audit": _run_audit,
+# experiment -> (runner, gnuplot body after the common header); a runner
+# returns (columns, rows, summary, extra_files)
+_EXPERIMENTS = {
+    "simulate": (_run_simulate, (
+        'set xlabel "t"\nset ylabel "L2 norm"\n'
+        'plot csv using 2:3 with dots title "paths"\n')),
+    "moment-growth": (_run_moment_growth, (
+        'set xlabel "t"\nset ylabel "moment estimate"\n'
+        'plot csv using 1:2:3 with yerrorlines title "moment"\n')),
+    "weak-order": (_run_weak_order, (
+        'set logscale xy\nset xlabel "dt"\nset ylabel "weak error"\n'
+        'plot csv using 1:5 with linespoints title "error vs reference"\n')),
+    "ergodic": (_run_ergodic, (
+        'set ylabel "estimate"\nset xrange [-0.5:1.5]\n'
+        'plot csv using 0:2:3 with yerrorbars title "estimators"\n')),
+    "contraction": (_run_contraction, (
+        'set xlabel "path"\nset ylabel "decay rate"\n'
+        'plot csv using 1:2 with points title "per-path rate"\n')),
+    "cost-curve": (_run_cost_curve, (
+        'set logscale xy\nset xlabel "eps"\nset ylabel "steps"\n'
+        'plot csv using 1:4 with linespoints title "N(eps)"\n')),
+    "audit": (_run_audit, "# tabular report; nothing to plot\n"),
 }
 
 
-def run(cfg: ExperimentConfig) -> RunManifest:
-    """Execute one experiment and write its artifacts."""
+def _config_hash(resolved: dict) -> str:
+    # hash only what determines the output bytes: directory and worker
+    # count are excluded, so equal hashes promise equal CSVs
+    hashed = {k: v for k, v in resolved.items() if k != "output"}
+    hashed["sampling"] = {k: v for k, v in resolved["sampling"].items()
+                          if k != "workers"}
+    config_json = json.dumps(_jsonable(hashed), sort_keys=True)
+    return hashlib.sha256(config_json.encode()).hexdigest()
+
+
+def run(cfg: ExperimentConfig) -> dict:
+    """Execute one experiment, write its artifacts, and return the manifest
+    written to manifest.json."""
     started = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    columns, rows, summary, extra = _DISPATCH[cfg.experiment](cfg)
+    columns, rows, summary, extra = _EXPERIMENTS[cfg.experiment][0](cfg)
 
     outputs = []
     if "csv" in cfg.formats:
@@ -319,27 +308,13 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         _write_gp(out_dir / name, cfg.experiment)
         outputs.append(name)
 
-    # hash only what determines the output bytes: directory and worker
-    # count are excluded, so equal hashes promise equal CSVs
-    hashed = {k: v for k, v in cfg.resolved.items() if k != "output"}
-    hashed["sampling"] = {k: v for k, v in cfg.resolved["sampling"].items()
-                          if k != "workers"}
-    config_json = json.dumps(_jsonable(hashed), sort_keys=True)
-    manifest = RunManifest(
-        experiment=cfg.experiment, version=__version__,
-        config_hash=hashlib.sha256(config_json.encode()).hexdigest(),
-        seed=cfg.scheme.seed,
-        wall_time_s=time.perf_counter() - started,
-        out_dir=str(out_dir), outputs=tuple(outputs),
-        warnings=cfg.notes, data=summary)
-    _write_json(out_dir / "manifest.json", {
-        "artifact": "tamedspde", "version": manifest.version,
-        "experiment": manifest.experiment,
-        "config": cfg.resolved, "config_hash": manifest.config_hash,
-        "seed": manifest.seed, "workers": cfg.workers,
-        "wall_time_s": manifest.wall_time_s,
-        "outputs": list(manifest.outputs),
-        "warnings": list(manifest.warnings)})
+    manifest = {
+        "artifact": "tamedspde", "version": __version__,
+        "experiment": cfg.experiment, "config": cfg.resolved,
+        "config_hash": _config_hash(cfg.resolved), "seed": cfg.scheme.seed,
+        "workers": cfg.workers, "wall_time_s": time.perf_counter() - started,
+        "outputs": outputs, "warnings": list(cfg.notes)}
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -383,10 +358,10 @@ def main(argv=None) -> int:
         suffix = f" ({', '.join(where)})" if where else ""
         print(f"numeric failure: {exc}{suffix}", file=sys.stderr)
         return 3
-    for note in manifest.warnings:
+    for note in manifest["warnings"]:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"{cfg.experiment}: wrote {', '.join(manifest.outputs)} "
-          f"in {manifest.out_dir}")
+    print(f"{cfg.experiment}: wrote {', '.join(manifest['outputs'])} "
+          f"in {Path(cfg.out_dir)}")
     return 0
 
 

@@ -4,12 +4,16 @@ front, with every default recorded so a run's manifest can replay it.
 Sections: experiment (name), model (nonlinearity, covariance, x0, grid
 sizes), discretization (dt, horizon or step count, dt_max cap, taming,
 noise mode), sampling (paths, seed, workers), output (directory, formats),
-params (experiment-specific knobs).  Unknown keys anywhere are rejected by
-name; nothing is silently ignored.
+params (experiment-specific knobs).  Each section is one table below of
+key -> (default, converter): a key outside its table is rejected by name,
+every value read is converted in one guarded place, and a value that does
+not convert is a ConfigurationError naming section.key.  Nothing is
+silently ignored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -21,11 +25,11 @@ from .errors import ConfigurationError
 from .estimators import FUNCTIONALS
 from .integrators import SchemeConfig
 
-EXPERIMENTS = ("simulate", "moment-growth", "weak-order", "ergodic",
-               "contraction", "cost-curve", "audit")
 FORMATS = ("csv", "json", "gnuplot")
-
-_DEFAULT_EPS = tuple(2.0 ** -k for k in range(4, 21))
+_SECTIONS = ("model", "discretization", "sampling", "output", "params")
+_OVERRIDABLE = ("sampling.n_paths", "sampling.seed", "sampling.workers",
+                "output.directory")
+_REQUIRED = object()  # a table default meaning "the key must be given"
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,180 +60,228 @@ def _require_mapping(obj, where: str) -> dict:
 
 
 def _check_keys(section: str, given: dict, allowed) -> None:
-    unknown = sorted(set(given) - set(allowed))
+    unknown = sorted(set(given) - set(allowed), key=str)
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {unknown} in section '{section}'; "
             f"allowed: {sorted(allowed)}")
 
 
-def _as_spec(value, section: str) -> dict:
-    """Accept 'name' as shorthand for {name: ...} / {kind: ...}."""
-    if isinstance(value, str):
-        return {"name": value} if section == "model.nonlinearity" else {"kind": value}
-    return dict(_require_mapping(value, section))
+# ---------------------------------------------------------------------------
+# converters: each returns a value in canonical form or raises TypeError or
+# ValueError, which _read reports as a ConfigurationError naming the key
+
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _count(value) -> int:
+    n = _int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _list(item):
+    def convert(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"must be a list, got {value!r}")
+        return [item(v) for v in value]
+    return convert
+
+
+def _one_of(*names):
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"unknown value {value!r}; choose from {list(names)}")
+        return value
+    return convert
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+class _Choices:
+    """A section that picks one model by its ``key`` entry ('name' may stand
+    for {key: 'name'}); options maps each choice to (constructor, table)."""
+
+    def __init__(self, key: str, options: dict):
+        self.key, self.options = key, options
+
+    def fill(self, where: str, spec) -> dict:
+        if isinstance(spec, str):
+            spec = {self.key: spec}
+        spec = dict(_require_mapping(spec, where))
+        choice = spec.pop(self.key, None)
+        if not isinstance(choice, str) or choice not in self.options:
+            raise ConfigurationError(
+                f"{where}: unknown {self.key} {choice!r}; choose from "
+                f"{', '.join(self.options)}")
+        return {self.key: choice, **_fill(where, spec, self.options[choice][1])}
+
+    def build(self, where: str, spec, *args):
+        params = self.fill(where, spec)
+        return self.options[params.pop(self.key)][0](*args, **params)
+
+
+def _read(where: str, value, convert):
+    if isinstance(convert, _Choices):
+        return convert.fill(where, value)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def _fill(section: str, given: dict, table: dict, run=None) -> dict:
+    """given with every default of table filled in and every value converted.
+
+    A callable default is computed from run (the run length and the model's
+    x0); _REQUIRED means the key has no default.
+    """
+    _check_keys(section, given, table)
+    out = {}
+    for key, (default, convert) in table.items():
+        where = f"{section}.{key}"
+        if key in given:
+            value = given[key]
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"{where} is required")
+        else:
+            value = default(run) if callable(default) else default
+        out[key] = _read(where, value, convert)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+def _explicit_covariance(n_modes: int, weights) -> noise_mod.CovarianceSpec:
+    cov = noise_mod.explicit_covariance(weights)
+    if cov.n_modes != n_modes:
+        raise ConfigurationError(
+            f"model.covariance: {cov.n_modes} weights given "
+            f"but n_modes={n_modes}")
+    return cov
+
+
+def _on_modes(make):
+    """An x0 constructor that needs no node count."""
+    return lambda n_modes, n_nodes, **params: make(n_modes, **params)
+
+
+_NONLINEARITY = _Choices("name", {
+    "zero": (nl_mod.zero, {}),
+    "linear": (nl_mod.linear, {"c": (1.0, float)}),
+    "dissipative_cubic": (nl_mod.dissipative_cubic, {"c": (1.0, float)}),
+    "allen_cahn": (nl_mod.allen_cahn, {"a": (1.0, float)}),
+    "polynomial": (nl_mod.polynomial, {"coeffs": (_REQUIRED, _list(float))}),
+})
+
+_COVARIANCE = _Choices("kind", {
+    "white": (noise_mod.white, {}),
+    "power_decay": (noise_mod.power_decay, {"decay": (_REQUIRED, float)}),
+    "explicit": (_explicit_covariance, {"weights": (_REQUIRED, _list(float))}),
+})
+
+_X0 = _Choices("kind", {
+    "zero": (_on_modes(spectral.zero_field), {}),
+    "unit_mode": (_on_modes(spectral.unit_mode),
+                  {"mode": (1, _int), "amplitude": (1.0, float)}),
+    "multi_mode": (_on_modes(spectral.multi_mode),
+                   {"amplitude": (1.0, float), "rate": (2.0, float)}),
+    "bump": (spectral.bump_profile,
+             {"center": (0.5, float), "width": (0.1, float),
+              "amplitude": (1.0, float)}),
+})
+
+_MODEL = {
+    "nonlinearity": (_REQUIRED, _NONLINEARITY),
+    "covariance": (_REQUIRED, _COVARIANCE),
+    "x0": ("unit_mode", _X0),
+    "n_modes": (64, _count),
+    "n_nodes": (256, _count),
+}
+
+_DISCRETIZATION = {
+    "dt": (0.1, float),
+    "dt_list": (None, _optional(_list(float))),
+    "horizon": (None, _optional(float)),
+    "n_steps": (100, _int),
+    "dt_max": (0.5, float),
+    "taming": (True, _bool),
+    "noise_mode": ("increment", _text),
+}
+
+_SAMPLING = {"n_paths": (100, _count), "seed": (0, _int), "workers": (1, _count)}
+
+_OUTPUT = {"directory": ("out", _text),
+           "formats": (FORMATS, _list(_one_of(*FORMATS)))}
+
+# experiment -> its params table; a new experiment is one entry here and
+# one in the command line's table
+_PARAMS = {
+    "simulate": {},
+    "moment-growth": {
+        "power": (2, _count),
+        "norm": ("l2", _one_of("l2", "sup")),
+        "checkpoints": (lambda run: [run["length"]], _list(float)),
+    },
+    "weak-order": {
+        "dt_list": (_REQUIRED, _list(float)),
+        "functional": ("exp_neg_l2sq", _one_of(*FUNCTIONALS)),
+    },
+    "ergodic": {
+        "functional": ("l2_squared", _one_of(*FUNCTIONALS)),
+        "burn_in": (lambda run: run["length"] / 5.0, float),
+    },
+    "contraction": {
+        "x0_a": (lambda run: run["x0"], _X0),
+        "x0_b": ("zero", _X0),
+    },
+    "cost-curve": {
+        "alpha": (_REQUIRED, float),
+        "regularity": (None, _optional(float)),
+        "horizon_power": (None, _optional(_int)),
+        "eps_list": (tuple(2.0 ** -k for k in range(4, 21)), _list(float)),
+        "horizon_scale": (1.0, float),
+        "accuracy_scale": (1.0, float),
+    },
+    "audit": {
+        "z_lo": (-10.0, float),
+        "z_hi": (10.0, float),
+        "samples": (2001, _int),
+    },
+}
+
+EXPERIMENTS = tuple(_PARAMS)
 
 
 def build_nonlinearity(spec) -> nl_mod.Nonlinearity:
-    spec = _as_spec(spec, "model.nonlinearity")
-    name = spec.pop("name", None)
-    if name == "zero":
-        _check_keys("model.nonlinearity", spec, ())
-        return nl_mod.zero()
-    if name == "linear":
-        _check_keys("model.nonlinearity", spec, ("c",))
-        return nl_mod.linear(float(spec.get("c", 1.0)))
-    if name == "dissipative_cubic":
-        _check_keys("model.nonlinearity", spec, ("c",))
-        return nl_mod.dissipative_cubic(float(spec.get("c", 1.0)))
-    if name == "allen_cahn":
-        _check_keys("model.nonlinearity", spec, ("a",))
-        return nl_mod.allen_cahn(float(spec.get("a", 1.0)))
-    if name == "polynomial":
-        _check_keys("model.nonlinearity", spec, ("coeffs",))
-        if "coeffs" not in spec:
-            raise ConfigurationError(
-                "model.nonlinearity: polynomial needs a 'coeffs' list")
-        return nl_mod.polynomial(spec["coeffs"])
-    raise ConfigurationError(
-        f"model.nonlinearity: unknown name {name!r}; choose from "
-        "zero, linear, dissipative_cubic, allen_cahn, polynomial")
+    return _NONLINEARITY.build("model.nonlinearity", spec)
 
 
 def build_covariance(spec, n_modes: int) -> noise_mod.CovarianceSpec:
-    spec = _as_spec(spec, "model.covariance")
-    kind = spec.pop("kind", None)
-    if kind == "white":
-        _check_keys("model.covariance", spec, ())
-        return noise_mod.white(n_modes)
-    if kind == "power_decay":
-        _check_keys("model.covariance", spec, ("decay",))
-        if "decay" not in spec:
-            raise ConfigurationError(
-                "model.covariance: power_decay needs a 'decay' value")
-        return noise_mod.power_decay(n_modes, float(spec["decay"]))
-    if kind == "explicit":
-        _check_keys("model.covariance", spec, ("weights",))
-        weights = spec.get("weights")
-        if weights is None:
-            raise ConfigurationError(
-                "model.covariance: explicit needs a 'weights' list")
-        cov = noise_mod.explicit_covariance(weights)
-        if cov.n_modes != n_modes:
-            raise ConfigurationError(
-                f"model.covariance: {cov.n_modes} weights given "
-                f"but n_modes={n_modes}")
-        return cov
-    raise ConfigurationError(
-        f"model.covariance: unknown kind {kind!r}; choose from "
-        "white, power_decay, explicit")
+    return _COVARIANCE.build("model.covariance", spec, n_modes)
 
 
 def build_x0(spec, n_modes: int, n_nodes: int) -> spectral.SpectralField:
-    spec = _as_spec(spec, "model.x0")
-    kind = spec.pop("kind", None)
-    if kind == "zero":
-        _check_keys("model.x0", spec, ())
-        return spectral.zero_field(n_modes)
-    if kind == "unit_mode":
-        _check_keys("model.x0", spec, ("mode", "amplitude"))
-        return spectral.unit_mode(n_modes, int(spec.get("mode", 1)),
-                                  float(spec.get("amplitude", 1.0)))
-    if kind == "multi_mode":
-        _check_keys("model.x0", spec, ("amplitude", "rate"))
-        return spectral.multi_mode(n_modes, float(spec.get("amplitude", 1.0)),
-                                   float(spec.get("rate", 2.0)))
-    if kind == "bump":
-        _check_keys("model.x0", spec, ("center", "width", "amplitude"))
-        return spectral.bump_profile(
-            n_modes, n_nodes, float(spec.get("center", 0.5)),
-            float(spec.get("width", 0.1)), float(spec.get("amplitude", 1.0)))
-    raise ConfigurationError(
-        f"model.x0: unknown kind {kind!r}; choose from "
-        "zero, unit_mode, multi_mode, bump")
-
-
-def _normalize_x0_spec(spec) -> dict:
-    spec = _as_spec(spec, "model.x0")
-    kind = spec.get("kind")
-    defaults = {
-        "zero": {},
-        "unit_mode": {"mode": 1, "amplitude": 1.0},
-        "multi_mode": {"amplitude": 1.0, "rate": 2.0},
-        "bump": {"center": 0.5, "width": 0.1, "amplitude": 1.0},
-    }
-    if kind not in defaults:
-        raise ConfigurationError(f"model.x0: unknown kind {kind!r}")
-    out = {"kind": kind}
-    out.update(defaults[kind])
-    out.update(spec)
-    return out
-
-
-_PARAM_KEYS = {
-    "simulate": (),
-    "moment-growth": ("power", "norm", "checkpoints"),
-    "weak-order": ("dt_list", "functional"),
-    "ergodic": ("functional", "burn_in"),
-    "contraction": ("x0_a", "x0_b"),
-    "cost-curve": ("alpha", "regularity", "horizon_power", "eps_list",
-                   "horizon_scale", "accuracy_scale"),
-    "audit": ("z_lo", "z_hi", "samples"),
-}
-
-
-def _resolve_params(experiment: str, params: dict, disc: dict,
-                    model: dict) -> dict:
-    _check_keys("params", params, _PARAM_KEYS[experiment])
-    out = dict(params)
-    if experiment == "moment-growth":
-        out.setdefault("power", 2)
-        out.setdefault("norm", "l2")
-        out.setdefault("checkpoints", [disc["n_steps"] * disc["dt"]])
-        out["checkpoints"] = [float(t) for t in out["checkpoints"]]
-        if int(out["power"]) < 1:
-            raise ConfigurationError(
-                f"params.power must be >= 1, got {out['power']}")
-        out["power"] = int(out["power"])
-        if out["norm"] not in ("l2", "sup"):
-            raise ConfigurationError(
-                f"params.norm must be 'l2' or 'sup', got {out['norm']!r}")
-    elif experiment == "weak-order":
-        if "dt_list" not in out:
-            raise ConfigurationError("params.dt_list is required for weak-order")
-        out["dt_list"] = [float(dt) for dt in out["dt_list"]]
-        out.setdefault("functional", "exp_neg_l2sq")
-    elif experiment == "ergodic":
-        out.setdefault("functional", "l2_squared")
-        out.setdefault("burn_in", disc["n_steps"] * disc["dt"] / 5.0)
-        out["burn_in"] = float(out["burn_in"])
-    elif experiment == "contraction":
-        out["x0_a"] = _normalize_x0_spec(out.get("x0_a", model["x0"]))
-        out["x0_b"] = _normalize_x0_spec(out.get("x0_b", "zero"))
-    elif experiment == "cost-curve":
-        if "alpha" not in out:
-            raise ConfigurationError("params.alpha is required for cost-curve")
-        out["alpha"] = float(out["alpha"])
-        out.setdefault("regularity", None)
-        out.setdefault("horizon_power", None)
-        out["eps_list"] = [float(e) for e in out.get("eps_list", _DEFAULT_EPS)]
-        out.setdefault("horizon_scale", 1.0)
-        out.setdefault("accuracy_scale", 1.0)
-        out["horizon_scale"] = float(out["horizon_scale"])
-        out["accuracy_scale"] = float(out["accuracy_scale"])
-    elif experiment == "audit":
-        out.setdefault("z_lo", -10.0)
-        out.setdefault("z_hi", 10.0)
-        out.setdefault("samples", 2001)
-        out["z_lo"] = float(out["z_lo"])
-        out["z_hi"] = float(out["z_hi"])
-        out["samples"] = int(out["samples"])
-    if experiment in ("weak-order", "ergodic") and \
-            out["functional"] not in FUNCTIONALS:
-        raise ConfigurationError(
-            f"params.functional: unknown name {out['functional']!r}; "
-            f"choose from {sorted(FUNCTIONALS)}")
-    return out
+    return _X0.build("model.x0", spec, n_modes, n_nodes)
 
 
 def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -245,134 +297,92 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    raw = dict(raw)
-    _check_keys("top level", raw, ("experiment", "model", "discretization",
-                                   "sampling", "output", "params"))
+    _check_keys("top level", raw, ("experiment",) + _SECTIONS)
     overrides = dict(overrides or {})
 
     experiment = overrides.pop("experiment", None) or raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigurationError(
             f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    unknown = sorted(set(overrides) - set(_OVERRIDABLE))
+    if unknown:
+        raise ConfigurationError(f"unknown override(s): {unknown}")
+    given = {name: dict(_require_mapping(raw.get(name), name))
+             for name in _SECTIONS}
+    for dotted, value in overrides.items():
+        section, key = dotted.split(".")
+        given[section][key] = value
 
-    model = _require_mapping(raw.get("model"), "model")
-    _check_keys("model", model, ("nonlinearity", "covariance", "x0",
-                                 "n_modes", "n_nodes"))
-    if "nonlinearity" not in model:
-        raise ConfigurationError("model.nonlinearity is required")
-    if "covariance" not in model:
-        raise ConfigurationError("model.covariance is required")
-    n_modes = int(model.get("n_modes", 64))
-    n_nodes = int(model.get("n_nodes", 256))
+    model = _fill("model", given["model"], _MODEL)
     nl = build_nonlinearity(model["nonlinearity"])
-    cov = build_covariance(model["covariance"], n_modes)
-    x0_spec = _normalize_x0_spec(model.get("x0", "unit_mode"))
-    x0 = build_x0(x0_spec, n_modes, n_nodes)
+    cov = build_covariance(model["covariance"], model["n_modes"])
+    x0 = build_x0(model["x0"], model["n_modes"], model["n_nodes"])
 
-    disc = _require_mapping(raw.get("discretization"), "discretization")
-    _check_keys("discretization", disc, ("dt", "dt_list", "horizon", "n_steps",
-                                         "dt_max", "taming", "noise_mode"))
-    dt_max = float(disc.get("dt_max", 0.5))
-    taming = bool(disc.get("taming", True))
-    noise_mode = str(disc.get("noise_mode", "increment"))
-    params_raw = dict(_require_mapping(raw.get("params"), "params"))
-    if "dt_list" in disc:
+    disc = _fill("discretization", given["discretization"], _DISCRETIZATION)
+    params_given = given["params"]
+    if disc["dt_list"] is not None:
         if experiment != "weak-order":
             raise ConfigurationError(
                 "discretization.dt_list only applies to the weak-order experiment")
-        if "dt_list" in params_raw:
+        if "dt_list" in params_given:
             raise ConfigurationError(
                 "dt_list given in both discretization and params; pick one")
-        params_raw["dt_list"] = disc["dt_list"]
+        params_given["dt_list"] = disc["dt_list"]
+    horizon = disc["horizon"]
+    if experiment in ("weak-order", "ergodic") and horizon is None:
+        raise ConfigurationError(
+            f"discretization.horizon is required for {experiment}")
     if experiment == "weak-order":
-        # dt comes from the level list; the base dt is the coarsest level
-        if "horizon" not in disc:
-            raise ConfigurationError(
-                "discretization.horizon is required for weak-order")
-        horizon = float(disc["horizon"])
-        if "dt_list" not in params_raw:
-            raise ConfigurationError("params.dt_list is required for weak-order")
-        dt = max(float(v) for v in params_raw["dt_list"])
-        n_steps = round(horizon / dt)
+        for key in ("dt", "n_steps"):
+            if key in given["discretization"]:
+                raise ConfigurationError(
+                    f"discretization.{key}: weak-order takes its steps "
+                    "from dt_list")
+        # the base dt is the coarsest level
+        levels = _fill("params", params_given, _PARAMS[experiment])["dt_list"]
+        dt = max(levels, default=0.0)
     else:
-        dt = float(disc.get("dt", 0.1))
-        if "horizon" in disc and "n_steps" in disc:
+        dt = disc["dt"]
+        if horizon is not None and "n_steps" in given["discretization"]:
             raise ConfigurationError(
                 "give discretization.horizon or discretization.n_steps, not both")
-        if "horizon" in disc:
-            horizon = float(disc["horizon"])
-            n_steps = round(horizon / dt)
-            if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
-                raise ConfigurationError(
-                    f"discretization.dt={dt} does not divide "
-                    f"horizon={horizon} into whole steps")
-        else:
-            n_steps = int(disc.get("n_steps", 100))
-    if not 0 < dt <= dt_max:
+    if not 0 < dt <= disc["dt_max"]:
         raise ConfigurationError(
-            f"discretization.dt={dt} must be in (0, dt_max={dt_max}]")
-
-    sampling = _require_mapping(raw.get("sampling"), "sampling")
-    _check_keys("sampling", sampling, ("n_paths", "seed", "workers"))
-    n_paths = int(overrides.pop("sampling.n_paths", sampling.get("n_paths", 100)))
-    seed = int(overrides.pop("sampling.seed", sampling.get("seed", 0)))
-    workers = int(overrides.pop("sampling.workers", sampling.get("workers", 1)))
-    if n_paths < 1:
-        raise ConfigurationError(f"sampling.n_paths must be >= 1, got {n_paths}")
-    if workers < 1:
-        raise ConfigurationError(f"sampling.workers must be >= 1, got {workers}")
-
-    output = _require_mapping(raw.get("output"), "output")
-    _check_keys("output", output, ("directory", "formats"))
-    out_dir = str(overrides.pop("output.directory",
-                                output.get("directory", "out")))
-    formats = tuple(output.get("formats", list(FORMATS)))
-    for fmt in formats:
-        if fmt not in FORMATS:
+            f"discretization.dt={dt} must be in (0, dt_max={disc['dt_max']}]")
+    if horizon is None:
+        n_steps = disc["n_steps"]
+    else:
+        n_steps = round(horizon / dt) if math.isfinite(horizon) else 0
+        if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
             raise ConfigurationError(
-                f"output.formats: unknown format {fmt!r}; allowed: {FORMATS}")
-    if overrides:
-        raise ConfigurationError(f"unknown override(s): {sorted(overrides)}")
+                f"discretization.dt={dt} does not divide "
+                f"horizon={horizon} into whole steps")
+    params = _fill("params", params_given, _PARAMS[experiment],
+                   {"length": n_steps * dt, "x0": model["x0"]})
 
-    disc_resolved = {"dt": dt, "n_steps": n_steps, "dt_max": dt_max,
-                     "taming": taming, "noise_mode": noise_mode}
-    if experiment in ("weak-order", "ergodic"):
-        if "horizon" not in disc:
-            raise ConfigurationError(
-                f"discretization.horizon is required for {experiment}")
-        disc_resolved["horizon"] = float(disc["horizon"])
+    sampling = _fill("sampling", given["sampling"], _SAMPLING)
+    output = _fill("output", given["output"], _OUTPUT)
+
+    scheme = SchemeConfig(n_modes=model["n_modes"], n_nodes=model["n_nodes"],
+                          dt=dt, n_steps=n_steps, cov=cov, nl=nl, x0=x0,
+                          seed=sampling["seed"], taming=disc["taming"],
+                          dt_max=disc["dt_max"], noise_mode=disc["noise_mode"])
 
     # serialized form: one of n_steps/horizon, so a manifest replays cleanly
-    disc_out = {"dt_max": dt_max, "taming": taming, "noise_mode": noise_mode}
-    if experiment == "weak-order":
-        disc_out["horizon"] = disc_resolved["horizon"]
-    elif "horizon" in disc:
+    disc_out = {key: disc[key] for key in ("dt_max", "taming", "noise_mode")}
+    if experiment != "weak-order":
         disc_out["dt"] = dt
-        disc_out["horizon"] = float(disc["horizon"])
-    else:
-        disc_out["dt"] = dt
+    if horizon is None:
         disc_out["n_steps"] = n_steps
-
-    params = _resolve_params(experiment, params_raw, disc_resolved,
-                             {"x0": x0_spec})
-
-    scheme = SchemeConfig(n_modes=n_modes, n_nodes=n_nodes, dt=dt,
-                          n_steps=n_steps, cov=cov, nl=nl, x0=x0, seed=seed,
-                          taming=taming, dt_max=dt_max, noise_mode=noise_mode)
-
-    cov_spec = _as_spec(model["covariance"], "model.covariance")
-    nl_spec = _as_spec(model["nonlinearity"], "model.nonlinearity")
-    resolved = {
-        "experiment": experiment,
-        "model": {"nonlinearity": nl_spec, "covariance": cov_spec,
-                  "x0": x0_spec, "n_modes": n_modes, "n_nodes": n_nodes},
-        "discretization": disc_out,
-        "sampling": {"n_paths": n_paths, "seed": seed, "workers": workers},
-        "output": {"directory": out_dir, "formats": list(formats)},
-        "params": params,
-    }
+    else:
+        disc_out["horizon"] = horizon
+    resolved = {"experiment": experiment, "model": model,
+                "discretization": disc_out, "sampling": sampling,
+                "output": output, "params": params}
     notes = (f"nonlinearity {nl.name}: {nl.note}",) if nl.note else ()
     return ExperimentConfig(experiment=experiment, scheme=scheme,
-                            n_paths=n_paths, workers=workers, out_dir=out_dir,
-                            formats=formats, params=params, resolved=resolved,
-                            notes=notes)
+                            n_paths=sampling["n_paths"],
+                            workers=sampling["workers"],
+                            out_dir=output["directory"],
+                            formats=tuple(output["formats"]), params=params,
+                            resolved=resolved, notes=notes)

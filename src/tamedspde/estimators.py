@@ -27,7 +27,6 @@ import numpy as np
 from . import rng
 from .errors import ConfigurationError
 from .integrators import PathBatch, SchemeConfig, evolve
-from .noise import increment_scale
 
 _PATH_BLOCK = 1024
 
@@ -158,7 +157,8 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> list:
     counts = [min(_PATH_BLOCK, n_paths - s) for s in starts]
     if workers <= 1 or len(starts) == 1:
         return [block_fn(s, c) for s, c in zip(starts, counts)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # under fork the executor starts all max_workers processes at once
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
         return list(pool.map(block_fn, starts, counts))
 
 
@@ -359,13 +359,13 @@ def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
     # accumulator per level, which steps once its coarse increment is whole
     n_fine = level_steps[-1]
     traj = _traj(start, count)
-    scale = increment_scale(cfg.cov, horizon / n_fine)[:, None]
     levels = [PathBatch(replace(cfg, dt=horizon / n, n_steps=n), traj,
                         [cfg.x0.coeffs]) for n in level_steps]
     ratios = [n_fine // n for n in level_steps]
     sums = [np.empty((cfg.n_modes, count)) for _ in level_steps]
     for j in range(n_fine):
-        fine = scale * rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes)
+        fine = levels[-1].engine.noise_from_gaussians(
+            rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes))
         for paths, r, acc in zip(levels, ratios, sums):
             if j % r == 0:  # numpy's sum starts from +0.0, not a copy
                 np.add(fine, 0.0, out=acc)

@@ -92,7 +92,7 @@ def convolution_weak_error_curve(cov: CovarianceSpec, t_fix: float,
     return curve
 
 
-def _step_factors(c: float, cfg, for_mean: bool = False):
+def _step_factors(c: float, cfg):
     """Per-mode propagation factor a and per-step noise variance w.
 
     Increment-mode noise is decayed together with the state, exact-mode

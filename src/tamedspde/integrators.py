@@ -120,8 +120,9 @@ class Engine:
         self.gain = phi1_factors(cfg.n_modes, cfg.dt)
         self.basis = sine_matrix(cfg.n_modes, cfg.n_nodes)
         self.weight = 1.0 / (cfg.n_nodes + 1)
-        self.sqrt_qdt = increment_scale(cfg.cov, cfg.dt)
-        self.exact_scale = stationary_step_scale(cfg.cov, cfg.dt)
+        scale = (increment_scale if cfg.noise_mode == "increment"
+                 else stationary_step_scale)
+        self.noise_scale = scale(cfg.cov, cfg.dt)
         self.f = cfg.nl.f
         # The zero reaction bypasses the transform entirely, which makes the
         # reduction to the pure noise recursion an identity, not a tolerance.
@@ -130,8 +131,7 @@ class Engine:
 
     def noise_from_gaussians(self, g: np.ndarray) -> np.ndarray:
         """Scale standard normals into this engine's noise term."""
-        scale = self.sqrt_qdt if self.noise_mode == "increment" else self.exact_scale
-        return _col(scale, g) * g
+        return _col(self.noise_scale, g) * g
 
     def step(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """One update of shape (J,) or (J, B) states, as a new array.

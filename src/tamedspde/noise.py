@@ -81,10 +81,6 @@ class NoiseRegularity:
     trace_class: bool
 
 
-def regularity_exponent(spec: CovarianceSpec) -> float:
-    return classify_regularity(spec).exponent
-
-
 def classify_regularity(spec: CovarianceSpec) -> NoiseRegularity:
     """Smoothing order of the stochastic convolution for a parametric family.
 

@@ -229,18 +229,6 @@ class AuditReport:
     second_moment_ok: bool      # sampled sup f' < pi^2
     all_moments_ok: bool        # sampled sup f' < 0
 
-    def as_dict(self) -> dict:
-        return {
-            "z_lo": self.z_lo,
-            "z_hi": self.z_hi,
-            "n_samples": self.n_samples,
-            "sup_fprime": self.sup_fprime,
-            "growth_exponent_fit": self.growth_exponent_fit,
-            "bound_constant": self.bound_constant,
-            "second_moment_ok": self.second_moment_ok,
-            "all_moments_ok": self.all_moments_ok,
-        }
-
 
 def audit_assumptions(nl: Nonlinearity, z_range: tuple[float, float] = (-10.0, 10.0),
                       samples: int = 2001) -> AuditReport:

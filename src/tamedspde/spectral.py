@@ -181,22 +181,6 @@ def phi1_factors(n_modes: int, dt: float) -> np.ndarray:
     return -np.expm1(-lam * dt) / lam
 
 
-def apply_semigroup(field: SpectralField, t: float) -> SpectralField:
-    """Multiply each coefficient by exp(-lambda_n t)."""
-    factors = semigroup_factors(field.n_modes, t)
-    if field.coeffs.ndim == 2:
-        factors = factors[:, None]
-    return SpectralField(factors * field.coeffs)
-
-
-def apply_phi1(field: SpectralField, dt: float) -> SpectralField:
-    """Multiply each coefficient by (1 - exp(-lambda_n dt)) / lambda_n."""
-    factors = phi1_factors(field.n_modes, dt)
-    if field.coeffs.ndim == 2:
-        factors = factors[:, None]
-    return SpectralField(factors * field.coeffs)
-
-
 def apply_fractional(field: SpectralField, exponent: float) -> SpectralField:
     """Multiply each coefficient by lambda_n ** exponent, exponent in [-1, 1]."""
     if not -1.0 <= exponent <= 1.0:

@@ -271,3 +271,118 @@ def test_ergodic_and_contraction_and_cost_run(tmp_path):
     rows = (out / "cost-curve.csv").read_text().splitlines()
     assert rows[1] == "eps,horizon,dt,n_steps,bound_product"
     assert len(rows) == 4
+
+
+# resolved configs and config hashes of the shipped configs, as written
+# before the config tables existed; a manifest must keep replaying them
+_SHIPPED = {
+    "audit": ({
+        "experiment": "audit",
+        "model": {"nonlinearity": {"name": "allen_cahn", "a": 1.0},
+                  "covariance": {"kind": "power_decay", "decay": 2.0},
+                  "x0": {"kind": "zero"}, "n_modes": 32, "n_nodes": 128},
+        "discretization": {"dt": 0.1, "n_steps": 100, "dt_max": 0.5,
+                           "taming": True, "noise_mode": "increment"},
+        "sampling": {"n_paths": 100, "seed": 0, "workers": 1},
+        "output": {"directory": "out/audit",
+                   "formats": ["csv", "json", "gnuplot"]},
+        "params": {"z_lo": -10.0, "z_hi": 10.0, "samples": 2001},
+    }, "e78a25977ece254909f2ea198396a15bf13f02440a665c20d84b5aa060531f6f"),
+    "blowup": ({
+        "experiment": "moment-growth",
+        "model": {"nonlinearity": {"name": "polynomial",
+                                   "coeffs": [0.0, 0.0, 0.0, -1.0]},
+                  "covariance": {"kind": "white"},
+                  "x0": {"kind": "unit_mode", "mode": 1, "amplitude": 10.0},
+                  "n_modes": 16, "n_nodes": 64},
+        "discretization": {"dt": 0.25, "n_steps": 200, "dt_max": 0.5,
+                           "taming": False, "noise_mode": "increment"},
+        "sampling": {"n_paths": 100, "seed": 0, "workers": 1},
+        "output": {"directory": "out/blowup",
+                   "formats": ["csv", "json", "gnuplot"]},
+        "params": {"power": 2, "norm": "l2",
+                   "checkpoints": [5.0, 25.0, 50.0]},
+    }, "58de38cedb87e9ae066b961fda68c530c026fef327bcb8bc94183e40e36e927a"),
+    "ergodic": ({
+        "experiment": "ergodic",
+        "model": {"nonlinearity": {"name": "linear", "c": 1.0},
+                  "covariance": {"kind": "white"},
+                  "x0": {"kind": "unit_mode", "mode": 1, "amplitude": 1.0},
+                  "n_modes": 16, "n_nodes": 64},
+        "discretization": {"dt": 0.02, "horizon": 50.0, "dt_max": 0.5,
+                           "taming": True, "noise_mode": "exact"},
+        "sampling": {"n_paths": 1000, "seed": 0, "workers": 1},
+        "output": {"directory": "out/ergodic",
+                   "formats": ["csv", "json", "gnuplot"]},
+        "params": {"functional": "l2_squared", "burn_in": 10.0},
+    }, "1ad88e8c939869635ab06b88da69cd105923808848a048bfc0b50054e3eb6995"),
+    "weak_order": ({
+        "experiment": "weak-order",
+        "model": {"nonlinearity": {"name": "dissipative_cubic", "c": 1.0},
+                  "covariance": {"kind": "power_decay", "decay": 3.0},
+                  "x0": {"kind": "unit_mode", "mode": 1, "amplitude": 1.0},
+                  "n_modes": 64, "n_nodes": 256},
+        "discretization": {"horizon": 1.0, "dt_max": 0.5, "taming": True,
+                           "noise_mode": "increment"},
+        "sampling": {"n_paths": 8192, "seed": 0, "workers": 1},
+        "output": {"directory": "out/weak_order",
+                   "formats": ["csv", "json", "gnuplot"]},
+        "params": {"dt_list": [2.0 ** -k for k in range(2, 9)],
+                   "functional": "exp_neg_l2sq"},
+    }, "b350db0305eeb825464920d8ee6fd30fb52e710f5c09de2e2767a2075ff2abe0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED))
+def test_shipped_configs_resolve_to_pinned_values(name):
+    resolved, config_hash = _SHIPPED[name]
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = cli.parse_config(str(configs / f"{name}.yaml"))
+    assert cfg.resolved == resolved
+    assert cli._config_hash(cfg.resolved) == config_hash
+
+
+# (experiment, sections over write_config's base, the key the error names)
+_MALFORMED = [
+    ("simulate", {"model": {"nonlinearity": "zero", "covariance": "white",
+                            "n_modes": "abc"}}, "model.n_modes"),
+    ("simulate", {"model": {"nonlinearity": {"name": "linear", "c": "fast"},
+                            "covariance": "white"}}, "model.nonlinearity.c"),
+    ("simulate", {"model": {"nonlinearity": {"name": "polynomial",
+                                             "coeffs": "x"},
+                            "covariance": "white"}},
+     "model.nonlinearity.coeffs"),
+    ("simulate", {"model": {"nonlinearity": "zero",
+                            "covariance": {"kind": "power_decay",
+                                           "decay": "x"}}},
+     "model.covariance.decay"),
+    ("simulate", {"model": {"nonlinearity": "zero", "covariance": "white",
+                            "x0": {"kind": "unit_mode", "mode": "x"}}},
+     "model.x0.mode"),
+    ("simulate", {"discretization": {"dt": "x", "n_steps": 5}},
+     "discretization.dt"),
+    ("simulate", {"discretization": {"dt": 0.1, "taming": "false"}},
+     "discretization.taming"),
+    ("simulate", {"sampling": {"n_paths": 3, "seed": "x"}}, "sampling.seed"),
+    ("audit", {"params": {"samples": "x"}}, "params.samples"),
+    ("moment-growth", {"params": {"checkpoints": 5.0}}, "params.checkpoints"),
+    ("weak-order", {"discretization": {"horizon": 1.0},
+                    "params": {"dt_list": 0.5}}, "params.dt_list"),
+    ("weak-order", {"discretization": {"horizon": 1.0, "dt": 0.25},
+                    "params": {"dt_list": [0.25, 0.125, 0.0625]}},
+     "discretization.dt"),
+    ("weak-order", {"discretization": {"horizon": 1.0, "n_steps": 4},
+                    "params": {"dt_list": [0.25, 0.125, 0.0625]}},
+     "discretization.n_steps"),
+]
+
+
+@pytest.mark.parametrize("experiment, sections, key", _MALFORMED)
+def test_malformed_value_exits_2_naming_key(tmp_path, capsys, experiment,
+                                            sections, key):
+    cfg = write_config(tmp_path, experiment=experiment, **sections)
+    assert cli.main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: "), err
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from tamedspde import cli
 from tamedspde.config import (EXPERIMENTS, build_covariance,
                               build_nonlinearity, build_x0, parse_config,
                               resolve_config)
@@ -52,6 +53,8 @@ def test_unknown_keys_named_in_errors():
         ({**MINIMAL, "sampling": {"paths": 10}}, "paths"),
         ({**MINIMAL, "output": {"dir": "x"}}, "dir"),
         ({**MINIMAL, "params": {"power": 2}}, "power"),  # not a simulate key
+        ({**MINIMAL, "model": {"nonlinearity": {"name": "linear", "slope": 2},
+                               "covariance": "white"}}, "slope"),
     ]
     for raw, key in cases:
         with pytest.raises(ConfigurationError, match=key):
@@ -62,6 +65,7 @@ def test_experiment_name_checked():
     with pytest.raises(ConfigurationError):
         resolve_config({**MINIMAL, "experiment": "extrapolate"})
     assert "simulate" in EXPERIMENTS
+    assert tuple(cli._EXPERIMENTS) == EXPERIMENTS
 
 
 def test_horizon_and_steps_are_exclusive():
@@ -72,9 +76,10 @@ def test_horizon_and_steps_are_exclusive():
 
 
 def test_horizon_must_divide():
-    raw = {**MINIMAL, "discretization": {"dt": 0.3, "horizon": 1.0}}
-    with pytest.raises(ConfigurationError, match="whole steps"):
-        resolve_config(raw)
+    for horizon in (1.0, float("inf"), float("nan")):
+        raw = {**MINIMAL, "discretization": {"dt": 0.3, "horizon": horizon}}
+        with pytest.raises(ConfigurationError, match="whole steps"):
+            resolve_config(raw)
     ok = resolve_config({**MINIMAL,
                          "discretization": {"dt": 0.25, "horizon": 1.0}})
     assert ok.scheme.n_steps == 4
@@ -203,6 +208,12 @@ def test_builder_validation():
         build_covariance({"kind": "explicit", "weights": [1.0, 1.0]}, 4)
     with pytest.raises(ConfigurationError, match="unknown kind"):
         build_x0("spike", 4, 16)
+    with pytest.raises(ConfigurationError, match=r"model\.nonlinearity\.c:"):
+        build_nonlinearity({"name": "linear", "c": "fast"})
+    with pytest.raises(ConfigurationError, match=r"model\.covariance\.decay:"):
+        build_covariance({"kind": "power_decay", "decay": "x"}, 4)
+    with pytest.raises(ConfigurationError, match=r"model\.x0\.mode:"):
+        build_x0({"kind": "unit_mode", "mode": 1.5}, 4, 16)
 
 
 def test_builders_produce_model_objects():
@@ -212,6 +223,26 @@ def test_builders_produce_model_objects():
     assert cov.decay == 3.0
     x0 = build_x0({"kind": "bump", "center": 0.5, "width": 0.1}, 32, 128)
     assert x0.n_modes == 32
+
+
+@pytest.mark.parametrize("nonlinearity, covariance, expected", [
+    ({"name": "linear"}, "white",
+     ({"name": "linear", "c": 1.0}, {"kind": "white"})),
+    ({"name": "dissipative_cubic"}, {"kind": "white"},
+     ({"name": "dissipative_cubic", "c": 1.0}, {"kind": "white"})),
+    ("allen_cahn", {"kind": "power_decay", "decay": 2},
+     ({"name": "allen_cahn", "a": 1.0}, {"kind": "power_decay", "decay": 2.0})),
+])
+def test_omitted_model_parameters_are_recorded(nonlinearity, covariance,
+                                               expected):
+    cfg = resolve_config({**MINIMAL, "model": {"nonlinearity": nonlinearity,
+                                               "covariance": covariance}})
+    model = cfg.resolved["model"]
+    assert (model["nonlinearity"], model["covariance"]) == expected
+    # canonical types: the manifest's hash must not depend on 2 vs 2.0
+    assert all(type(v) is float for v in model["covariance"].values()
+               if not isinstance(v, str))
+    assert resolve_config(cfg.resolved).resolved == cfg.resolved
 
 
 def test_allen_cahn_note_surfaces():
@@ -228,6 +259,8 @@ def test_output_formats_validated():
     assert cfg.formats == ("csv",)
     with pytest.raises(ConfigurationError, match="format"):
         resolve_config({**MINIMAL, "output": {"formats": ["csv", "hdf5"]}})
+    with pytest.raises(ConfigurationError, match=r"output\.directory:"):
+        resolve_config({**MINIMAL, "output": {"directory": None}})
 
 
 def test_parse_config_reads_yaml(tmp_path):

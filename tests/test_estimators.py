@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tamedspde import noise, rng, spectral
+from tamedspde import estimators, noise, rng, spectral
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   L2_SQUARED, MCEstimate,
@@ -447,6 +447,31 @@ def test_block_results_independent_of_workers():
     assert np.array_equal(stats1.mean, stats3.mean)
     assert np.array_equal(stats1.variance, stats3.variance)
 
+
+
+def test_pool_is_capped_at_the_block_count(monkeypatch):
+    # a fork pool starts all max_workers processes at once; this fake starts
+    # none and records the pool size asked for
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
+    blocks = estimators._map_blocks(lambda s, c: (s, c), 2049, workers=8)
+    assert blocks == [(0, 1024), (1024, 1024), (2048, 1)]
+    estimators._map_blocks(lambda s, c: c, 2049, workers=2)
+    assert sizes == [3, 2]
 
 # --- cost curve --------------------------------------------------------------------
 

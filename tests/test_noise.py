@@ -120,7 +120,7 @@ def test_classify_power_decay():
 def test_classify_rejects_explicit():
     with pytest.raises(ConfigurationError):
         noise.classify_regularity(noise.explicit_covariance([1.0, 1.0]))
-    assert noise.regularity_exponent(noise.white(4)) == 0.25
+    assert noise.classify_regularity(noise.white(4)).exponent == 0.25
 
 
 # --- addressed noise of the trajectory driver ---------------------------------

@@ -8,6 +8,7 @@ which is what licenses freezing those numbers in the tests.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ def test_audit_rejects_bad_window():
 
 
 def test_audit_report_round_trips_to_dict():
-    d = nl.audit_assumptions(nl.linear(1.0)).as_dict()
+    d = asdict(nl.audit_assumptions(nl.linear(1.0)))
     assert d["sup_fprime"] == -1.0
     assert d["all_moments_ok"] is True
     assert set(d) == {"z_lo", "z_hi", "n_samples", "sup_fprime",
