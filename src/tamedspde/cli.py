@@ -178,15 +178,8 @@ def _run_contraction(cfg: ExperimentConfig):
 
 def _run_cost_curve(cfg: ExperimentConfig):
     p = cfg.params
-    regularity = p["regularity"]
-    if regularity is None:
-        regularity = classify_regularity(cfg.scheme.cov).exponent
-    horizon_power = p["horizon_power"]
-    if horizon_power is None:
-        g = cfg.scheme.nl.growth_exponent
-        horizon_power = int(round(3 * g * g))
-    curve = cost_curve(p["alpha"], regularity, horizon_power, p["eps_list"],
-                       p["horizon_scale"], p["accuracy_scale"])
+    curve = cost_curve(p["alpha"], p["regularity"], p["horizon_power"],
+                       p["eps_list"], p["horizon_scale"], p["accuracy_scale"])
     rows = [(pt.eps, pt.horizon, pt.dt, pt.n_steps, pt.bound_product)
             for pt in curve.points]
     products = [pt.bound_product for pt in curve.points]

@@ -151,8 +151,9 @@ def _read(where: str, value, convert):
 def _fill(section: str, given: dict, table: dict, run=None) -> dict:
     """given with every default of table filled in and every value converted.
 
-    A callable default is computed from run (the run length and the model's
-    x0); _REQUIRED means the key has no default.
+    A callable default is computed from run (the run length, the model's x0
+    and its built covariance and nonlinearity); _REQUIRED means the key has
+    no default.
     """
     _check_keys(section, given, table)
     out = {}
@@ -256,8 +257,10 @@ _PARAMS = {
     },
     "cost-curve": {
         "alpha": (_REQUIRED, float),
-        "regularity": (None, _optional(float)),
-        "horizon_power": (None, _optional(_int)),
+        "regularity": (lambda run: noise_mod.classify_regularity(
+            run["cov"]).exponent, float),
+        "horizon_power": (lambda run: round(
+            3 * run["nl"].growth_exponent * run["nl"].growth_exponent), _int),
         "eps_list": (tuple(2.0 ** -k for k in range(4, 21)), _list(float)),
         "horizon_scale": (1.0, float),
         "accuracy_scale": (1.0, float),
@@ -358,7 +361,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                 f"discretization.dt={dt} does not divide "
                 f"horizon={horizon} into whole steps")
     params = _fill("params", params_given, _PARAMS[experiment],
-                   {"length": n_steps * dt, "x0": model["x0"]})
+                   {"length": n_steps * dt, "x0": model["x0"], "cov": cov,
+                    "nl": nl})
 
     sampling = _fill("sampling", given["sampling"], _SAMPLING)
     output = _fill("output", given["output"], _OUTPUT)

@@ -12,6 +12,9 @@ two properties the estimators rely on:
 The word function is a chain of splitmix64 finalizer rounds, one per index
 field.  Normals come from Box-Muller on two 53-bit uniforms, which keeps the
 consumption per slot fixed (two words per normal, no rejection loop).
+normal_matrix() does its elementwise work in place in a workspace kept for
+the last shape it was asked for, so a stream of same-shape calls allocates
+only the arrays it returns.
 """
 
 from __future__ import annotations
@@ -25,14 +28,38 @@ _SLOT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 _TWO_POW_MINUS_53 = 2.0 ** -53
 
+# normal_matrix()'s buffers for the last (n_rows, B): the slot salts of the
+# radius and angle halves, the words and one scratch; a call writes the
+# words and the scratch before reading them and returns none of them
+_work = {}
 
-def _mix(x):
-    """splitmix64 output finalizer, elementwise on uint64 input."""
-    z = x ^ (x >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+
+def _mix(z, tmp):
+    """splitmix64 output finalizer, in place on the uint64 array z.
+
+    tmp is scratch of z's shape; z is returned.
+    """
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
+
+
+def _key(seed: int, trajectories, step: int) -> np.ndarray:
+    """The (B,) hash of (seed, trajectory, step) that the slots are salted onto."""
+    traj = np.asarray(trajectories, dtype=np.uint64)
+    if traj.ndim != 1:
+        raise ValueError("trajectories must be one dimensional")
+    h = np.full(traj.shape, np.uint64(seed % (1 << 64)) ^ _SEED_SALT)
+    tmp = np.empty_like(h)
+    with np.errstate(over="ignore"):
+        _mix(h, tmp)
+        h ^= traj * _TRAJ_SALT
+        _mix(h, tmp)
+        h ^= np.uint64(step % (1 << 64)) * _STEP_SALT
+        return _mix(h, tmp)
 
 
 def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
@@ -41,30 +68,52 @@ def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
     ``words(seed, t, step, n)[k, i]`` depends only on
     (seed, trajectories[i], step, k).
     """
-    traj = np.asarray(trajectories, dtype=np.uint64)
-    if traj.ndim != 1:
-        raise ValueError("trajectories must be one dimensional")
-    with np.errstate(over="ignore"):
-        h = _mix(np.uint64(seed % (1 << 64)) ^ _SEED_SALT)
-        h = _mix(h ^ (traj * _TRAJ_SALT))
-        h = _mix(h ^ (np.uint64(step % (1 << 64)) * _STEP_SALT))
-        slots = (np.arange(n_slots, dtype=np.uint64) * _SLOT_SALT)[:, None]
-        return _mix(h[None, :] ^ slots)
+    h = _key(seed, trajectories, step)
+    slots = (np.arange(n_slots, dtype=np.uint64) * _SLOT_SALT)[:, None]
+    return _mix(h[None, :] ^ slots, np.empty((n_slots, h.size), np.uint64))
+
+
+def _to_unit(w, out):
+    """((w >> 11) + 1) * 2^-53 into the float64 array out; w is overwritten.
+
+    Every step is exact, since w >> 11 has at most 53 bits.
+    """
+    # top 53 bits, shifted into (0, 1] so log() below is always finite
+    w >>= np.uint64(11)
+    out[...] = w
+    out += 1.0
+    out *= _TWO_POW_MINUS_53
+    return out
 
 
 def uniforms(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
     """Uniform draws on (0, 1], shape (n_slots, len(trajectories))."""
     w = words(seed, trajectories, step, n_slots)
-    # top 53 bits, shifted into (0, 1] so log() below is always finite
-    return ((w >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_POW_MINUS_53
+    return _to_unit(w, np.empty(w.shape))
 
 
 def normal_matrix(seed: int, trajectories, step: int, n_rows: int) -> np.ndarray:
-    """Standard normals, shape (n_rows, len(trajectories)).
+    """Standard normals, shape (n_rows, len(trajectories)), as a new array.
 
-    Entry (j, i) is a pure function of (seed, trajectories[i], step, j).
+    Entry (j, i) is a pure function of (seed, trajectories[i], step, j):
+    Box-Muller on uniforms(...)[2j, i] (radius) and [2j + 1, i] (angle).
     """
-    u = uniforms(seed, trajectories, step, 2 * n_rows)
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = (2.0 * np.pi) * u[1::2]
-    return radius * np.cos(angle)
+    h = _key(seed, trajectories, step)
+    key = (n_rows, h.size)
+    if key not in _work:
+        slots = np.arange(2 * n_rows, dtype=np.uint64) * _SLOT_SALT
+        _work.clear()
+        _work[key] = (slots.reshape(n_rows, 2).T[:, :, None].copy(),
+                      np.empty((2,) + key, np.uint64),
+                      np.empty((2,) + key, np.uint64))
+    slots, w, tmp = _work[key]
+    # the words of uniforms(), radius slots 2j then angle slots 2j + 1
+    _mix(np.bitwise_xor(h, slots, out=w), tmp)
+    radius, angle = _to_unit(w, tmp.view(np.float64))
+    # sqrt(-2.0 * log(u[2j])) * cos((2.0 * pi) * u[2j + 1]), op by op
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    return radius * angle

@@ -181,7 +181,23 @@ def test_cost_curve_params():
     cfg = resolve_config({**MINIMAL, "experiment": "cost-curve",
                           "params": {"alpha": 0.2}})
     assert cfg.params["alpha"] == 0.2
-    assert cfg.params["regularity"] is None
+    # the defaults are resolved here, so the manifest records what was used:
+    # white noise has exponent 1/4, the zero reaction growth 2 -> round(3 * 4)
+    assert cfg.params["regularity"] == 0.25
+    assert cfg.params["horizon_power"] == 12
+    assert cfg.resolved["params"]["regularity"] == 0.25
+    cubic = resolve_config({
+        **MINIMAL, "experiment": "cost-curve", "params": {"alpha": 0.2},
+        "model": {"nonlinearity": "dissipative_cubic",
+                  "covariance": {"kind": "power_decay", "decay": 3.0}}})
+    assert cubic.params["regularity"] == 0.5
+    assert cubic.params["horizon_power"] == 27
+    with pytest.raises(ConfigurationError, match="regularity"):
+        resolve_config({**MINIMAL, "experiment": "cost-curve",
+                        "params": {"alpha": 0.2},
+                        "model": {"nonlinearity": "zero", "n_modes": 2,
+                                  "covariance": {"kind": "explicit",
+                                                 "weights": [1.0, 0.5]}}})
     assert len(cfg.params["eps_list"]) == 17
     assert cfg.params["eps_list"][0] == 2.0 ** -4
     assert cfg.params["eps_list"][-1] == 2.0 ** -20

@@ -1,6 +1,10 @@
 """Counter-based generator: addressing, determinism, and Gaussian quality."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -85,3 +89,83 @@ def test_words_shape_and_dtype():
     w = rng.words(0, np.arange(5, dtype=np.uint64), 0, 3)
     assert w.shape == (3, 5)
     assert w.dtype == np.uint64
+
+
+# SHA-256 of normal_matrix(...).tobytes() at fixed addresses, as computed by
+# the allocating Box-Muller below (numpy 2.4.6, x86-64, glibc libm).  Any
+# change to the stream fails here; so could a numpy or libm whose log or cos
+# rounds differently, which would also move every seeded result.
+TOP = 2**64 - 1
+PINNED = [
+    (7, np.arange(1024, dtype=np.uint64), 3, 64,
+     "58eb4b6a866d2db1a909f61183aacec048c5fc781d1f0f972dba10f48fd4282c"),
+    (7, np.arange(1024, dtype=np.uint64), 3, 16,
+     "f29470ff49d3427f70a337570dbeab6cc21b21bbe5846aadafdce65b68921045"),
+    (0, np.zeros(1, dtype=np.uint64), 0, 1,
+     "71a568853f7c50bf182f4c8048b1b00424a22a7ed94a14a1530aea7cc5e1b5c9"),
+    (TOP, np.array([TOP - k for k in range(7)], dtype=np.uint64), TOP, 5,
+     "2d39813463b69e5388b678065c7f9acceaadf4e357250e654eed18a9100c0e82"),
+]
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _box_muller(seed, traj, step, n_rows):
+    # the allocating form of normal_matrix: every op in its order
+    u = rng.uniforms(seed, traj, step, 2 * n_rows)
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    return radius * np.cos(angle)
+
+
+@pytest.mark.parametrize("seed,traj,step,n_rows,digest", PINNED,
+                         ids=["64x1024", "16x1024", "1x1", "5x7-top"])
+def test_stream_is_pinned(seed, traj, step, n_rows, digest):
+    x = rng.normal_matrix(seed, traj, step, n_rows)
+    assert x.shape == (n_rows, traj.size)
+    assert _digest(x) == digest
+    assert np.array_equal(x, _box_muller(seed, traj, step, n_rows))
+
+
+def test_words_and_uniforms_are_pinned():
+    top = np.array([TOP - k for k in range(7)], dtype=np.uint64)
+    assert _digest(rng.words(TOP, top, TOP, 10)) == (
+        "b4986a56658c8eabcfd064078fd09f76bbcfc79f2f49a9825f1e4d4482ea3497")
+    assert _digest(rng.uniforms(7, np.arange(1024, dtype=np.uint64), 3, 32)) == (
+        "2e486b51d386074d74131f2e66bcd0ef0f1c4ad266e23a401b57ac8d3f077ff8")
+
+
+@given(seed=U64, step=U64, n_rows=st.integers(min_value=0, max_value=9),
+       first=U64, n_traj=st.integers(min_value=0, max_value=40))
+def test_normals_are_box_muller_over_uniforms(seed, step, n_rows, first, n_traj):
+    traj = np.array([(first + k) % 2**64 for k in range(n_traj)], dtype=np.uint64)
+    x = rng.normal_matrix(seed, traj, step, n_rows)
+    assert x.shape == (n_rows, n_traj)
+    assert np.array_equal(x, _box_muller(seed, traj, step, n_rows))
+
+
+def test_result_survives_the_next_call():
+    t = np.arange(1024, dtype=np.uint64)
+    # same shape, fewer rows, then an odd number of trajectories
+    calls = [(5, t, 0, 64), (5, t, 1, 64), (5, t, 2, 16), (6, t[:333], 3, 16),
+             (6, t[:333], 4, 16)]
+    kept = [(rng.normal_matrix(*c), c) for c in calls]
+    for x, c in kept:
+        assert np.array_equal(x, _box_muller(*c))
+    # a later call hands out a new array, not the one returned before
+    assert not np.shares_memory(kept[0][0], kept[1][0])
+
+
+@pytest.mark.parametrize("n_rows", [16, 64])
+def test_call_allocates_little_beyond_its_result(n_rows):
+    t = np.arange(1024, dtype=np.uint64)
+    rng.normal_matrix(1, t, 0, n_rows)  # warm-up: builds the workspace
+    tracemalloc.start()
+    try:
+        x = rng.normal_matrix(1, t, 1, n_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes, peak / x.nbytes
