@@ -9,12 +9,10 @@ from .spectral import (GridField, SpectralField, analyze, apply_fractional,
                        eigenvalues, l2_norm, lp_norm, multi_mode, sup_norm,
                        synthesize, unit_mode, zero_field)
 from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
-                    explicit_covariance, power_decay,
-                    step_discrete_convolution, white)
+                    explicit_covariance, power_decay, white)
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,
-                           apply_nemytskii, audit_assumptions,
-                           dissipative_cubic, drift_norm, linear, polynomial,
-                           zero)
+                           audit_assumptions, dissipative_cubic, linear,
+                           polynomial, zero)
 from .gaussian_oracle import (ModeGaussian, convolution_second_moment_exact,
                               convolution_weak_error_curve,
                               discrete_convolution_second_moment,

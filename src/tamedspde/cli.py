@@ -343,13 +343,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except TrajectoryOverflow as exc:
-        where = []
-        if exc.trajectory is not None:
-            where.append(f"trajectory {exc.trajectory}")
-        if exc.step is not None:
-            where.append(f"state {exc.step}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        print(f"numeric failure: {exc}{suffix}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     for note in manifest["warnings"]:
         print(f"warning: {note}", file=sys.stderr)

@@ -13,7 +13,6 @@ silently ignored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import yaml
@@ -23,7 +22,7 @@ from . import noise as noise_mod
 from . import spectral
 from .errors import ConfigurationError
 from .estimators import FUNCTIONALS
-from .integrators import SchemeConfig
+from .integrators import SchemeConfig, whole_steps
 
 FORMATS = ("csv", "json", "gnuplot")
 _SECTIONS = ("model", "discretization", "sampling", "output", "params")
@@ -352,14 +351,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
     if not 0 < dt <= disc["dt_max"]:
         raise ConfigurationError(
             f"discretization.dt={dt} must be in (0, dt_max={disc['dt_max']}]")
-    if horizon is None:
-        n_steps = disc["n_steps"]
-    else:
-        n_steps = round(horizon / dt) if math.isfinite(horizon) else 0
-        if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
-            raise ConfigurationError(
-                f"discretization.dt={dt} does not divide "
-                f"horizon={horizon} into whole steps")
+    n_steps = disc["n_steps"] if horizon is None else _read(
+        "discretization.horizon", horizon, lambda h: whole_steps(h, dt))
     params = _fill("params", params_given, _PARAMS[experiment],
                    {"length": n_steps * dt, "x0": model["x0"], "cov": cov,
                     "nl": nl})

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigurationError
-from .integrators import PathBatch, SchemeConfig, evolve
+from .integrators import PathBatch, SchemeConfig, evolve, whole_steps
 
 _PATH_BLOCK = 1024
 
@@ -145,21 +145,24 @@ def _warn_if_rough(functional: TestFunctional) -> None:
 # ---------------------------------------------------------------------------
 # block-parallel path engine
 
-def _map_blocks(block_fn, n_paths: int, workers: int) -> list:
+def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
     """Apply block_fn(start, count) over the fixed block partition.
 
-    Results come back in block order whether or not a pool is used; the
-    partition depends only on n_paths.
+    block_fn returns a tuple of arrays whose last axis runs over the block's
+    paths; each is joined along that axis in block order, whether or not a
+    pool is used.  The partition depends only on n_paths.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     starts = list(range(0, n_paths, _PATH_BLOCK))
     counts = [min(_PATH_BLOCK, n_paths - s) for s in starts]
     if workers <= 1 or len(starts) == 1:
-        return [block_fn(s, c) for s, c in zip(starts, counts)]
-    # under fork the executor starts all max_workers processes at once
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        return list(pool.map(block_fn, starts, counts))
+        parts = [block_fn(s, c) for s, c in zip(starts, counts)]
+    else:
+        # under fork the executor starts all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            parts = list(pool.map(block_fn, starts, counts))
+    return tuple(np.concatenate(joined, axis=-1) for joined in zip(*parts))
 
 
 def _traj(start: int, count: int) -> np.ndarray:
@@ -196,34 +199,22 @@ class MomentStudy:
     estimates: tuple | None
 
 
-def _checkpoint_steps(cfg: SchemeConfig, checkpoints) -> list[int]:
-    steps = []
-    for t in checkpoints:
-        s = round(t / cfg.dt)
-        if not (0 <= s <= cfg.n_steps) or abs(s * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(
-                f"checkpoint t={t} is not a grid time of dt={cfg.dt}, "
-                f"n_steps={cfg.n_steps}")
-        steps.append(s)
-    return steps
-
-
-def _moment_block(start, count, *, cfg, steps, norm):
+def _norm_block(start, count, *, cfg, steps, norms):
+    # one (len(steps), count) array per norm, row k at state steps[k], and
+    # each path's blow-up state
     rows = {}
     for row, s in enumerate(steps):
         rows.setdefault(s, []).append(row)
-    out = np.empty((len(steps), count))
+    out = np.empty((len(norms), len(steps), count))
 
     def on_state(idx, xs, engine):
-        if idx not in rows:
-            return
-        vals = _state_norm(norm, xs[0], engine)
-        for row in rows[idx]:
-            out[row] = vals
+        if idx in rows:
+            for k, norm in enumerate(norms):
+                out[k, rows[idx]] = _state_norm(norm, xs[0], engine)
 
     _, blowup = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
                        on_state=on_state, allow_blowup=not cfg.taming)
-    return out, blowup
+    return (*out, blowup)
 
 
 def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
@@ -238,11 +229,14 @@ def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
         raise ConfigurationError(f"power must be >= 1, got {power}")
     if norm not in ("l2", "sup"):
         raise ConfigurationError(f"norm must be 'l2' or 'sup', got {norm!r}")
-    steps = _checkpoint_steps(cfg, checkpoints)
-    parts = _map_blocks(partial(_moment_block, cfg=cfg, steps=steps, norm=norm),
-                        n_paths, workers)
-    values = np.concatenate([p[0] for p in parts], axis=1)
-    blowup = np.concatenate([p[1] for p in parts])
+    steps = [0 if t == 0 else whole_steps(t, cfg.dt) for t in checkpoints]
+    if any(s > cfg.n_steps for s in steps):
+        raise ConfigurationError(
+            f"checkpoints {list(checkpoints)} go past the horizon "
+            f"{cfg.horizon} (n_steps={cfg.n_steps} of dt={cfg.dt})")
+    values, blowup = _map_blocks(
+        partial(_norm_block, cfg=cfg, steps=steps, norms=(norm,)),
+        n_paths, workers)
     frac = float((blowup >= 0).mean())
     if frac > 0.0:
         return MomentStudy(checkpoints=tuple(checkpoints), norm=norm,
@@ -281,19 +275,6 @@ class PathNorms:
     blowup_steps: np.ndarray
 
 
-def _path_norm_block(start, count, *, cfg):
-    l2 = np.empty((cfg.n_steps + 1, count))
-    sup = np.empty_like(l2)
-
-    def on_state(idx, xs, engine):
-        l2[idx] = _state_norm("l2", xs[0], engine)
-        sup[idx] = _state_norm("sup", xs[0], engine)
-
-    _, blowup = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
-                       on_state=on_state, allow_blowup=not cfg.taming)
-    return l2, sup, blowup
-
-
 def path_norms(cfg: SchemeConfig, n_paths: int,
                workers: int = 1) -> PathNorms:
     """Per-state norms of trajectories 0..n_paths-1.
@@ -301,11 +282,11 @@ def path_norms(cfg: SchemeConfig, n_paths: int,
     Tamed runs treat any blow-up as a hard failure; untamed runs record
     each path's blow-up step.
     """
-    parts = _map_blocks(partial(_path_norm_block, cfg=cfg), n_paths, workers)
-    return PathNorms(times=cfg.dt * np.arange(cfg.n_steps + 1),
-                     l2=np.concatenate([p[0] for p in parts], axis=1),
-                     sup=np.concatenate([p[1] for p in parts], axis=1),
-                     blowup_steps=np.concatenate([p[2] for p in parts]))
+    l2, sup, blowup = _map_blocks(
+        partial(_norm_block, cfg=cfg, steps=range(cfg.n_steps + 1),
+                norms=("l2", "sup")), n_paths, workers)
+    return PathNorms(times=cfg.dt * np.arange(cfg.n_steps + 1), l2=l2,
+                     sup=sup, blowup_steps=blowup)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +321,6 @@ class WeakOrderStudy:
     noise_dominated: bool
 
 
-def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarray:
-    """Sum consecutive fine increments into n_coarse coarse increments.
-
-    The step axis comes first.  This is the reference for the coupling of
-    the weak-order levels, which :func:`_weak_block` streams bitwise.
-    """
-    n_fine = increments.shape[0]
-    if n_coarse < 1 or n_fine % n_coarse != 0:
-        raise ConfigurationError(
-            f"cannot aggregate {n_fine} fine steps into {n_coarse} coarse steps")
-    r = n_fine // n_coarse
-    return increments.reshape((n_coarse, r) + increments.shape[1:]).sum(axis=1)
-
-
 def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
     # one pass: each fine increment is drawn once and summed into one
     # accumulator per level, which steps once its coarse increment is whole
@@ -373,7 +340,7 @@ def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
                 acc += fine
             if j % r == r - 1:
                 paths.advance(acc)
-    return np.stack([functional.evaluate(p.xs[0]) for p in levels])
+    return (np.stack([functional.evaluate(p.xs[0]) for p in levels]),)
 
 
 def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
@@ -389,8 +356,6 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
     of zero are excluded from the fit as noise-dominated; if fewer than
     three levels survive, no fit is attempted and the study says so.
     """
-    if horizon <= 0:
-        raise ConfigurationError(f"horizon must be > 0, got {horizon}")
     if cfg.noise_mode != "increment":
         raise ConfigurationError(
             "weak_order_study couples plain increments across levels; "
@@ -405,13 +370,7 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
         raise ConfigurationError(
             f"finest dt={dts[-1]} must be at least 4x smaller than "
             f"coarsest dt={dts[0]}")
-    level_steps = []
-    for dt in dts:
-        n = round(horizon / dt)
-        if n < 1 or abs(n * dt - horizon) > 1e-9 * horizon:
-            raise ConfigurationError(
-                f"dt={dt} does not divide horizon={horizon} into whole steps")
-        level_steps.append(n)
+    level_steps = [whole_steps(horizon, dt) for dt in dts]
     n_fine = level_steps[-1]
     for n in level_steps:
         if n_fine % n != 0:
@@ -420,11 +379,10 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
                 f"({n_fine} steps); use dyadic or otherwise nested dt values")
     _warn_if_rough(functional)
 
-    parts = _map_blocks(
+    phi, = _map_blocks(                          # (n_levels, n_paths)
         partial(_weak_block, cfg=cfg, horizon=horizon,
                 level_steps=level_steps, functional=functional),
         n_paths, workers)
-    phi = np.concatenate(parts, axis=1)          # (n_levels, n_paths)
 
     ref = phi[-1]
     levels = []
@@ -467,17 +425,14 @@ class ErgodicStudy:
 
 def _ergodic_block(start, count, *, cfg, functional, first_step):
     sums = np.zeros(count)
-    finals = np.empty(count)
-    n_terms = cfg.n_steps - first_step + 1
 
     def on_state(idx, xs, engine):
         if idx >= first_step:
             sums[:] += functional.evaluate(xs[0])
-        if idx == cfg.n_steps:
-            finals[:] = functional.evaluate(xs[0])
 
-    evolve(cfg, _traj(start, count), [cfg.x0.coeffs], on_state=on_state)
-    return finals, sums / n_terms
+    (x,), _ = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
+                     on_state=on_state)
+    return functional.evaluate(x), sums / (cfg.n_steps - first_step + 1)
 
 
 def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
@@ -494,18 +449,12 @@ def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
     if not 0.0 <= burn_in < horizon:
         raise ConfigurationError(
             f"burn_in={burn_in} must lie in [0, horizon={horizon})")
-    n_steps = round(horizon / cfg.dt)
-    if n_steps < 1 or abs(n_steps * cfg.dt - horizon) > 1e-9 * horizon:
-        raise ConfigurationError(
-            f"dt={cfg.dt} does not divide horizon={horizon} into whole steps")
-    run_cfg = replace(cfg, n_steps=n_steps)
+    run_cfg = replace(cfg, n_steps=whole_steps(horizon, cfg.dt))
     first_step = int(math.floor(burn_in / cfg.dt + 1e-9)) + 1
-    parts = _map_blocks(
+    finals, path_means = _map_blocks(
         partial(_ergodic_block, cfg=run_cfg, functional=functional,
                 first_step=first_step),
         n_paths, workers)
-    finals = np.concatenate([p[0] for p in parts])
-    path_means = np.concatenate([p[1] for p in parts])
     return ErgodicStudy(functional=functional.name, horizon=horizon,
                         burn_in=burn_in, n_paths=n_paths,
                         ensemble=MCEstimate.from_samples(finals),
@@ -569,11 +518,9 @@ def contraction_rate(cfg: SchemeConfig, x0_a, x0_b, n_paths: int,
             "x0_a and x0_b coincide; the coupled distance is identically zero")
     if cfg.n_steps < 2:
         raise ConfigurationError("need n_steps >= 2 to fit a decay rate")
-    parts = _map_blocks(
+    slopes, n_pts = _map_blocks(
         partial(_contraction_block, cfg=cfg, x0_a=a, x0_b=b),
         n_paths, workers)
-    slopes = np.concatenate([p[0] for p in parts])
-    n_pts = np.concatenate([p[1] for p in parts])
     keep = n_pts >= 2
     if not keep.any():
         raise ConfigurationError(
@@ -601,17 +548,13 @@ class TamingReport:
 
 
 def _headroom_block(start, count, *, cfg):
-    peak = np.zeros(1)
+    peak = np.zeros(count)
 
     def on_state(idx, xs, engine):
-        if idx == 0:
-            return
-        m = float(np.max(engine.last_drift_l2))
-        if m > peak[0]:
-            peak[0] = m
+        np.maximum(peak, engine.last_drift_l2, out=peak)
 
     evolve(cfg, _traj(start, count), [cfg.x0.coeffs], on_state=on_state)
-    return float(peak[0])
+    return (peak,)
 
 
 def taming_headroom(cfg: SchemeConfig, n_paths: int,
@@ -623,8 +566,8 @@ def taming_headroom(cfg: SchemeConfig, n_paths: int,
     """
     if not cfg.taming:
         raise ConfigurationError("taming_headroom needs a tamed configuration")
-    parts = _map_blocks(partial(_headroom_block, cfg=cfg), n_paths, workers)
-    return TamingReport(max_drift_contribution=max(parts),
+    peak, = _map_blocks(partial(_headroom_block, cfg=cfg), n_paths, workers)
+    return TamingReport(max_drift_contribution=float(peak.max()),
                         n_paths=n_paths, n_steps=cfg.n_steps)
 
 
@@ -644,7 +587,7 @@ class ModeStatistics:
 
 def _final_state_block(start, count, *, cfg):
     (x,), _ = evolve(cfg, _traj(start, count), [cfg.x0.coeffs])
-    return x
+    return (x,)
 
 
 def final_mode_statistics(cfg: SchemeConfig, n_paths: int,
@@ -652,8 +595,8 @@ def final_mode_statistics(cfg: SchemeConfig, n_paths: int,
     """Per-mode sample mean and variance of the final state across paths."""
     if n_paths < 2:
         raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
-    parts = _map_blocks(partial(_final_state_block, cfg=cfg), n_paths, workers)
-    finals = np.concatenate(parts, axis=1)       # (J, n_paths)
+    finals, = _map_blocks(                       # (J, n_paths)
+        partial(_final_state_block, cfg=cfg), n_paths, workers)
     mean = finals.mean(axis=1)
     centered = finals - mean[:, None]
     var = (centered * centered).sum(axis=1) / (n_paths - 1)

@@ -31,6 +31,7 @@ of batch or process layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,21 @@ class SchemeConfig:
     @property
     def horizon(self) -> float:
         return self.n_steps * self.dt
+
+
+def whole_steps(length: float, dt: float) -> int:
+    """The step count n >= 1 with |n dt - length| <= 1e-9 length.
+
+    A horizon, level or checkpoint must be a whole number of steps of dt;
+    any other length or dt, non-finite or nonpositive ones included, is a
+    ConfigurationError.
+    """
+    ratio = length / dt if length > 0 and dt > 0 else math.nan
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(n * dt - length) > 1e-9 * length:
+        raise ConfigurationError(
+            f"dt={dt} does not divide {length} into whole steps")
+    return n
 
 
 def _col(factors: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -124,16 +124,6 @@ def stationary_step_scale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     return np.sqrt(spec.mode_weights * (-np.expm1(-2.0 * lam * dt)) / (2.0 * lam))
 
 
-def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,
-                              decay_factors: np.ndarray) -> np.ndarray:
-    """One step of Z <- exp(dt A)(Z + dW), the zero-drift scheme map.
-
-    The sum happens before the decay multiply; every caller that needs to
-    reproduce the scheme's noise handling bit for bit must use this grouping.
-    """
-    return decay_factors * (state + increment)
-
-
 def discrete_convolution_variance(spec: CovarianceSpec, dt: float,
                                   n_steps: int) -> np.ndarray:
     """Per-mode variance of the discrete convolution after n_steps from zero.

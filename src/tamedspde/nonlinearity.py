@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, TrajectoryOverflow
-from .spectral import GridField, SpectralField, analyze, eigenvalue, lp_norm, synthesize
+from .errors import ConfigurationError
+from .spectral import eigenvalue
 
 
 # Scalar kernels live at module level (not closures) so Nonlinearity values
@@ -185,31 +185,6 @@ def polynomial(coeffs) -> Nonlinearity:
         growth_exponent=float(max(2, degree)),
         sup_fprime=math.inf,
         note="derivative bound unknown; certification requires an audit")
-
-
-def _node_values(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> np.ndarray:
-    # overflow is detected by the isfinite check below, not by the warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(nl.f(synthesize(x, n_nodes).values), dtype=np.float64)
-    if not np.all(np.isfinite(fx)):
-        raise TrajectoryOverflow(
-            f"{nl.name} produced non-finite node values")
-    return fx
-
-
-def apply_nemytskii(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> SpectralField:
-    """Coefficients of f(x(.)) truncated to x's mode count.
-
-    Evaluation is pseudo-spectral: synthesize to n_nodes interior nodes,
-    apply f pointwise, project back.  Non-finite values raise
-    TrajectoryOverflow rather than propagating NaN.
-    """
-    return analyze(GridField(_node_values(x, nl, n_nodes)), x.n_modes)
-
-
-def drift_norm(x: SpectralField, nl: Nonlinearity, n_nodes: int):
-    """Node-quadrature L2 norm of f(x(.)), the taming denominator input."""
-    return lp_norm(GridField(_node_values(x, nl, n_nodes)), 2.0)
 
 
 @dataclass(frozen=True)

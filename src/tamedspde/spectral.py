@@ -102,9 +102,6 @@ class GridField:
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    def nodes(self) -> np.ndarray:
-        return collocation_nodes(self.n_nodes)
-
 
 def zero_field(n_modes: int) -> SpectralField:
     return SpectralField(np.zeros(n_modes))

@@ -37,7 +37,9 @@ from tamedspde.gaussian_oracle import (
 )
 from tamedspde.integrators import SchemeConfig, evolve
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
-from tamedspde.noise import increment_scale, step_discrete_convolution
+from tamedspde.noise import increment_scale
+
+from reference import step_discrete_convolution
 
 _LINES = []
 

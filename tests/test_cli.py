@@ -150,7 +150,81 @@ def test_missing_config_exits_2(tmp_path, capsys):
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, discretization={"dt": 0.3, "horizon": 1.0})
     assert cli.main(["simulate", "--config", cfg]) == 2
-    assert "whole steps" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "configuration error: discretization.horizon: dt=0.3 does not divide "
+        "1.0 into whole steps")
+
+
+# A level or checkpoint that is not a whole number of steps of dt, a NaN or
+# an infinity among them, is a configuration error: exit 2, not a traceback.
+_OFF_GRID = [
+    ("weak-order", {"discretization": {"horizon": 1.0},
+                    "params": {"dt_list": [0.25, 0.125, 0.0]}}),
+    ("moment-growth", {"params": {"checkpoints": [float("nan")]}}),
+    ("moment-growth", {"params": {"checkpoints": [float("inf")]}}),
+]
+
+
+@pytest.mark.parametrize("experiment, sections", _OFF_GRID)
+def test_off_grid_value_exits_2(tmp_path, capsys, experiment, sections):
+    cfg = write_config(tmp_path, experiment=experiment, **sections)
+    assert cli.main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert "whole steps" in err
+
+
+def test_no_checkpoints_writes_header_only_csv(tmp_path):
+    cfg = write_config(tmp_path, experiment="moment-growth",
+                       params={"checkpoints": []})
+    out = tmp_path / "out"
+    assert cli.main(["moment-growth", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "moment-growth.csv").read_text().splitlines() == [
+        "# tamedspde-csv v1 experiment=moment-growth", "t,estimate,std_error"]
+    assert json.loads((out / "moment-growth.json").read_text())[
+        "estimates"] == []
+
+
+# SHA-256 of the CSV of zero-reaction runs over 1,100 paths, which span two
+# blocks, captured before the studies shared one block join.  A zero
+# reaction keeps every step elementwise, so no BLAS summation order enters
+# these bytes.
+_PINNED_CSV = {
+    "moment-growth": (
+        {"discretization": {"dt": 0.1, "n_steps": 5},
+         "params": {"norm": "l2", "checkpoints": [0.5, 0.0, 0.2, 0.5]}},
+        "b2724ac3d0cdae50d124b5fc8bc5504568fd2ac1ec86ca5d2e8a7ff8a40eb28d"),
+    "weak-order": (
+        {"discretization": {"horizon": 1.0},
+         "params": {"dt_list": [0.25, 0.125, 0.0625, 0.03125]}},
+        "88f4745916e298c02d42f335022be532a4dda844db054897374f261084fd4320"),
+    "ergodic": (
+        {"discretization": {"dt": 0.1, "horizon": 2.0},
+         "params": {"functional": "exp_neg_l2sq", "burn_in": 0.5}},
+        "a2217c9e119b62efdb5c1598960b70467fae1bbf5ce5245abe60bab90f038069"),
+    "contraction": (
+        {"discretization": {"dt": 0.05, "n_steps": 20},
+         "params": {"x0_a": {"kind": "multi_mode"}}},
+        "d046738961690d8313299ef7c22bdaa363438173ca7b8e328d03e359a317bea3"),
+}
+
+
+def _pinned_csv(tmp_path, experiment) -> bytes:
+    sections, _ = _PINNED_CSV[experiment]
+    cfg = write_config(tmp_path, experiment=experiment,
+                       model={"nonlinearity": "zero", "covariance": "white",
+                              "n_modes": 4, "n_nodes": 16},
+                       sampling={"n_paths": 1100, "seed": 7}, **sections)
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 0
+    return (out / f"{experiment}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(_PINNED_CSV))
+def test_csv_bytes_are_pinned(tmp_path, experiment):
+    digest = hashlib.sha256(_pinned_csv(tmp_path, experiment)).hexdigest()
+    assert digest == _PINNED_CSV[experiment][1]
 
 
 def test_tamed_overflow_exits_3(tmp_path, capsys):

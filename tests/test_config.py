@@ -76,8 +76,9 @@ def test_horizon_and_steps_are_exclusive():
 
 
 def test_horizon_must_divide():
-    for horizon in (1.0, float("inf"), float("nan")):
-        raw = {**MINIMAL, "discretization": {"dt": 0.3, "horizon": horizon}}
+    for dt, horizon in ((0.3, 1.0), (0.3, float("inf")), (0.3, float("nan")),
+                        (0.3, 0.0), (0.3, -0.9), (1e-300, 1e300)):
+        raw = {**MINIMAL, "discretization": {"dt": dt, "horizon": horizon}}
         with pytest.raises(ConfigurationError, match="whole steps"):
             resolve_config(raw)
     ok = resolve_config({**MINIMAL,

@@ -18,8 +18,7 @@ import pytest
 from tamedspde import estimators, noise, rng, spectral
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
-                                  L2_SQUARED, MCEstimate,
-                                  aggregate_fine_increments, contraction_rate,
+                                  L2_SQUARED, MCEstimate, contraction_rate,
                                   cost_curve, ergodic_average, estimate_moment,
                                   final_mode_statistics, fit_rate,
                                   path_norms, taming_headroom,
@@ -30,6 +29,8 @@ from tamedspde.gaussian_oracle import (discrete_convolution_second_moment,
 from tamedspde.integrators import PathBatch, SchemeConfig
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
 from tamedspde.spectral import eigenvalue, semigroup_factors, unit_mode, zero_field
+
+from reference import aggregate_fine_increments
 
 
 def make_cfg(nl, J=8, dt=0.05, n_steps=20, taming=True, mode="increment",
@@ -155,6 +156,10 @@ def test_moment_validation():
         estimate_moment(cfg, power=2, norm="l2", checkpoints=[0.33], n_paths=8)
     with pytest.raises(ConfigurationError):
         estimate_moment(cfg, power=2, norm="l2", checkpoints=[1.5], n_paths=8)
+    for t in (-0.05, math.nan, math.inf, 1e-12):
+        with pytest.raises(ConfigurationError):
+            estimate_moment(cfg, power=2, norm="l2", checkpoints=[t],
+                            n_paths=8)
     with pytest.raises(ConfigurationError):
         estimate_moment(cfg, power=2, norm="l2", checkpoints=[1.0], n_paths=0)
 
@@ -200,8 +205,8 @@ def test_streamed_weak_block_matches_materialised_levels():
     level_steps = [4, 8, 16, 32]
     scale = noise.increment_scale(cfg.cov, 1.0 / 32)[:, None]
     for start, count in ((0, 1024), (1024, 76)):   # the blocks of 1100 paths
-        got = _weak_block(start, count, cfg=cfg, horizon=1.0,
-                          level_steps=level_steps, functional=EXP_NEG_L2SQ)
+        got, = _weak_block(start, count, cfg=cfg, horizon=1.0,
+                           level_steps=level_steps, functional=EXP_NEG_L2SQ)
         traj = np.arange(start, start + count, dtype=np.uint64)
         fine = np.stack([scale * rng.normal_matrix(cfg.seed, traj, j, 4)
                          for j in range(32)])
@@ -298,6 +303,13 @@ def test_weak_order_validation():
         weak_order_study(cfg, [0.25, 0.1, 0.0625, 0.05], EXP_NEG_L2SQ, 1.0, 16)
     with pytest.raises(ConfigurationError):   # duplicates
         weak_order_study(cfg, [0.25, 0.25, 0.0625], EXP_NEG_L2SQ, 1.0, 16)
+    for dts in ([0.25, 0.125, 0.0], [0.25, 0.125, -0.0625]):  # dt <= 0
+        with pytest.raises(ConfigurationError):
+            weak_order_study(cfg, dts, EXP_NEG_L2SQ, 1.0, 16)
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            weak_order_study(cfg, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ,
+                             horizon, 16)
     exact = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                      cov=noise.white(4), mode="exact")
     with pytest.raises(ConfigurationError):
@@ -328,6 +340,9 @@ def test_ergodic_validation():
         ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=-1.0, horizon=2.0, n_paths=8)
     with pytest.raises(ConfigurationError):
         ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=0.5, horizon=2.05, n_paths=8)
+    with pytest.raises(ConfigurationError):
+        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=0.5, horizon=math.inf,
+                        n_paths=8)
 
 
 # --- contraction ------------------------------------------------------------------
@@ -468,9 +483,13 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
-    blocks = estimators._map_blocks(lambda s, c: (s, c), 2049, workers=8)
-    assert blocks == [(0, 1024), (1024, 1024), (2048, 1)]
-    estimators._map_blocks(lambda s, c: c, 2049, workers=2)
+    # each block's arrays are joined on their last (path) axis in block order
+    starts, counts = estimators._map_blocks(
+        lambda s, c: (np.full((2, c), s), np.array([c])), 2049, workers=8)
+    assert np.array_equal(starts, np.repeat([[0, 1024, 2048]] * 2,
+                                            [1024, 1024, 1], axis=1))
+    assert counts.tolist() == [1024, 1024, 1]
+    estimators._map_blocks(lambda s, c: (np.array([c]),), 2049, workers=2)
     assert sizes == [3, 2]
 
 # --- cost curve --------------------------------------------------------------------

@@ -27,6 +27,8 @@ from tamedspde.nonlinearity import (allen_cahn, dissipative_cubic, linear,
                                     polynomial, zero)
 from tamedspde.spectral import SpectralField, unit_mode
 
+from reference import drift_norm, step_discrete_convolution
+
 
 def manual_step(cfg, x, noise_term):
     """The scheme update spelled out from primitives, grouping included."""
@@ -106,7 +108,7 @@ def test_zero_drift_is_discrete_convolution_map():
     x = np.linspace(0.5, -0.5, cfg.n_modes)
     inc = np.full(cfg.n_modes, 0.125)
     got = engine.step(x, inc)
-    want = noise.step_discrete_convolution(x, inc, engine.decay)
+    want = step_discrete_convolution(x, inc, engine.decay)
     assert np.array_equal(got, want)
 
 
@@ -138,7 +140,6 @@ def test_drift_headroom_matches_quotient_bound():
     cfg = make_cfg(dissipative_cubic(0.0), x0=unit_mode(6, 1, 5.0))
     engine = Engine(cfg)
     engine.step(cfg.x0.coeffs, np.zeros(6))
-    from tamedspde.nonlinearity import drift_norm
     fnorm = drift_norm(cfg.x0, cfg.nl, cfg.n_nodes)
     bound = cfg.dt * fnorm / (1.0 + cfg.dt * fnorm)
     assert engine.last_drift_l2 <= bound * (1.0 + 1e-12)
@@ -245,7 +246,7 @@ def test_simulate_zero_drift_is_pure_noise_recursion():
     x = cfg.x0.coeffs.copy()
     for n in range(8):
         inc = scale * rng.normal_matrix(7, _traj(2), n, 4)[:, 0]
-        x = noise.step_discrete_convolution(x, inc, decay)
+        x = step_discrete_convolution(x, inc, decay)
     assert np.array_equal(final[:, 0], x)
 
 
@@ -397,6 +398,19 @@ def test_config_dt_max_boundary_and_horizon():
                         cov=noise.white(2), nl=zero(), x0=unit_mode(2, 1),
                         dt_max=1.0)
     assert wide.dt == 0.75
+
+
+def test_whole_steps_is_one_relative_rule():
+    assert integrators.whole_steps(1.0, 0.25) == 4
+    assert integrators.whole_steps(0.3, 0.1) == 3      # 3 * 0.1 != 0.3 exactly
+    assert integrators.whole_steps(1.0 + 5e-10, 0.25) == 4
+    assert integrators.whole_steps(1e-3, 1e-4) == 10
+    for length, dt in ((1.0 + 2e-9, 0.25), (1.0, 0.3), (0.04, 0.1),
+                       (0.0, 0.1), (-0.5, 0.1), (1.0, 0.0), (1.0, -0.25),
+                       (math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf),
+                       (1.0, math.nan), (1e300, 1e-300)):
+        with pytest.raises(ConfigurationError, match="whole steps"):
+            integrators.whole_steps(length, dt)
 
 
 def test_allen_cahn_runs_under_taming():
