@@ -48,20 +48,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    # json asks only for what it cannot encode: numpy arrays and scalars
+    # (np.float64 is a float, so json prints it with float.__repr__)
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
 def _write_csv(path: Path, experiment: str, columns, rows) -> None:
@@ -72,8 +62,9 @@ def _write_csv(path: Path, experiment: str, columns, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                    + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_json_default) + "\n",
+                    encoding="utf-8")
 
 
 def _write_gp(path: Path, experiment: str) -> None:
@@ -271,7 +262,7 @@ def _config_hash(resolved: dict) -> str:
     hashed = {k: v for k, v in resolved.items() if k != "output"}
     hashed["sampling"] = {k: v for k, v in resolved["sampling"].items()
                           if k != "workers"}
-    config_json = json.dumps(_jsonable(hashed), sort_keys=True)
+    config_json = json.dumps(hashed, sort_keys=True, default=_json_default)
     return hashlib.sha256(config_json.encode()).hexdigest()
 
 

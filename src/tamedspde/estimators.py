@@ -24,9 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from . import rng
 from .errors import ConfigurationError
-from .integrators import PathBatch, SchemeConfig, evolve, whole_steps
+from .integrators import SchemeConfig, evolve, whole_steps
 
 _PATH_BLOCK = 1024
 
@@ -207,14 +206,15 @@ def _norm_block(start, count, *, cfg, steps, norms):
         rows.setdefault(s, []).append(row)
     out = np.empty((len(norms), len(steps), count))
 
-    def on_state(idx, xs, engine):
+    def on_state(idx, batches):
         if idx in rows:
+            paths, = batches
             for k, norm in enumerate(norms):
-                out[k, rows[idx]] = _state_norm(norm, xs[0], engine)
+                out[k, rows[idx]] = _state_norm(norm, paths.x, paths.engine)
 
-    _, blowup = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
-                       on_state=on_state, allow_blowup=not cfg.taming)
-    return (*out, blowup)
+    paths, = evolve([cfg], _traj(start, count), on_state=on_state,
+                    allow_blowup=not cfg.taming)
+    return (*out, paths.blowup)
 
 
 def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
@@ -322,25 +322,10 @@ class WeakOrderStudy:
 
 
 def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
-    # one pass: each fine increment is drawn once and summed into one
-    # accumulator per level, which steps once its coarse increment is whole
-    n_fine = level_steps[-1]
-    traj = _traj(start, count)
-    levels = [PathBatch(replace(cfg, dt=horizon / n, n_steps=n), traj,
-                        [cfg.x0.coeffs]) for n in level_steps]
-    ratios = [n_fine // n for n in level_steps]
-    sums = [np.empty((cfg.n_modes, count)) for _ in level_steps]
-    for j in range(n_fine):
-        fine = levels[-1].engine.noise_from_gaussians(
-            rng.normal_matrix(cfg.seed, traj, j, cfg.n_modes))
-        for paths, r, acc in zip(levels, ratios, sums):
-            if j % r == 0:  # numpy's sum starts from +0.0, not a copy
-                np.add(fine, 0.0, out=acc)
-            else:
-                acc += fine
-            if j % r == r - 1:
-                paths.advance(acc)
-    return (np.stack([functional.evaluate(p.xs[0]) for p in levels]),)
+    # one pass: the levels share the finest level's noise in one evolve
+    levels = evolve([replace(cfg, dt=horizon / n, n_steps=n)
+                     for n in level_steps], _traj(start, count))
+    return (np.stack([functional.evaluate(p.x) for p in levels]),)
 
 
 def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
@@ -371,12 +356,6 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
             f"finest dt={dts[-1]} must be at least 4x smaller than "
             f"coarsest dt={dts[0]}")
     level_steps = [whole_steps(horizon, dt) for dt in dts]
-    n_fine = level_steps[-1]
-    for n in level_steps:
-        if n_fine % n != 0:
-            raise ConfigurationError(
-                f"level with {n} steps does not nest in the finest level "
-                f"({n_fine} steps); use dyadic or otherwise nested dt values")
     _warn_if_rough(functional)
 
     phi, = _map_blocks(                          # (n_levels, n_paths)
@@ -426,13 +405,12 @@ class ErgodicStudy:
 def _ergodic_block(start, count, *, cfg, functional, first_step):
     sums = np.zeros(count)
 
-    def on_state(idx, xs, engine):
+    def on_state(idx, batches):
         if idx >= first_step:
-            sums[:] += functional.evaluate(xs[0])
+            sums[:] += functional.evaluate(batches[0].x)
 
-    (x,), _ = evolve(cfg, _traj(start, count), [cfg.x0.coeffs],
-                     on_state=on_state)
-    return functional.evaluate(x), sums / (cfg.n_steps - first_step + 1)
+    paths, = evolve([cfg], _traj(start, count), on_state=on_state)
+    return functional.evaluate(paths.x), sums / (cfg.n_steps - first_step + 1)
 
 
 def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
@@ -484,11 +462,12 @@ class ContractionStudy:
 def _contraction_block(start, count, *, cfg, x0_a, x0_b):
     dist = np.empty((cfg.n_steps + 1, count))
 
-    def on_state(idx, xs, engine):
-        xa, xb = xs
-        dist[idx] = np.sqrt(((xa - xb) ** 2).sum(axis=0))
+    def on_state(idx, batches):
+        a, b = batches
+        dist[idx] = np.sqrt(((a.x - b.x) ** 2).sum(axis=0))
 
-    evolve(cfg, _traj(start, count), [x0_a, x0_b], on_state=on_state)
+    evolve([replace(cfg, x0=x0_a), replace(cfg, x0=x0_b)],
+           _traj(start, count), on_state=on_state)
 
     # per-path window: stop at the first nonpositive or non-finite distance
     bad = (dist <= 0.0) | ~np.isfinite(dist)
@@ -511,15 +490,14 @@ def _contraction_block(start, count, *, cfg, x0_a, x0_b):
 def contraction_rate(cfg: SchemeConfig, x0_a, x0_b, n_paths: int,
                      workers: int = 1) -> ContractionStudy:
     """Decay rate of the L2 distance between paths driven by shared noise."""
-    a = np.asarray(x0_a.coeffs, dtype=np.float64)
-    b = np.asarray(x0_b.coeffs, dtype=np.float64)
+    a, b = x0_a.coeffs, x0_b.coeffs
     if np.array_equal(a, b):
         raise ConfigurationError(
             "x0_a and x0_b coincide; the coupled distance is identically zero")
     if cfg.n_steps < 2:
         raise ConfigurationError("need n_steps >= 2 to fit a decay rate")
     slopes, n_pts = _map_blocks(
-        partial(_contraction_block, cfg=cfg, x0_a=a, x0_b=b),
+        partial(_contraction_block, cfg=cfg, x0_a=x0_a, x0_b=x0_b),
         n_paths, workers)
     keep = n_pts >= 2
     if not keep.any():
@@ -550,10 +528,10 @@ class TamingReport:
 def _headroom_block(start, count, *, cfg):
     peak = np.zeros(count)
 
-    def on_state(idx, xs, engine):
-        np.maximum(peak, engine.last_drift_l2, out=peak)
+    def on_state(idx, batches):
+        np.maximum(peak, batches[0].engine.last_drift_l2, out=peak)
 
-    evolve(cfg, _traj(start, count), [cfg.x0.coeffs], on_state=on_state)
+    evolve([cfg], _traj(start, count), on_state=on_state)
     return (peak,)
 
 
@@ -586,8 +564,8 @@ class ModeStatistics:
 
 
 def _final_state_block(start, count, *, cfg):
-    (x,), _ = evolve(cfg, _traj(start, count), [cfg.x0.coeffs])
-    return (x,)
+    paths, = evolve([cfg], _traj(start, count))
+    return (paths.x,)
 
 
 def final_mode_statistics(cfg: SchemeConfig, n_paths: int,
@@ -648,7 +626,7 @@ def cost_curve(alpha: float, regularity: float, horizon_power: int, eps_list,
     if horizon_power < 0:
         raise ConfigurationError(
             f"horizon_power must be >= 0, got {horizon_power}")
-    if horizon_scale <= 0 or accuracy_scale <= 0:
+    if not (horizon_scale > 0 and accuracy_scale > 0):  # NaN included
         raise ConfigurationError("scales must be positive")
     points = []
     for eps in eps_list:
@@ -656,9 +634,13 @@ def cost_curve(alpha: float, regularity: float, horizon_power: int, eps_list,
         if not 0.0 < eps < 1.0:
             raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
         horizon = horizon_scale * abs(math.log(eps))
-        dt_target = (accuracy_scale * eps / horizon ** horizon_power) \
-            ** (2.0 / (alpha + regularity))
-        n_steps = max(1, math.ceil(horizon / dt_target))
+        try:
+            dt_target = (accuracy_scale * eps / horizon ** horizon_power) \
+                ** (2.0 / (alpha + regularity))
+            n_steps = max(1, math.ceil(horizon / dt_target))
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigurationError(
+                f"eps={eps}: the step count leaves the float range") from None
         dt = horizon / n_steps
         points.append(CostPoint(
             eps=eps, horizon=horizon, dt=dt, n_steps=n_steps,

@@ -23,8 +23,8 @@ integral after the decay, sampled with its exact variance; it removes the
 noise-discretization bias from invariant-law experiments.
 
 States are coefficient arrays of shape (J,) or (J, B); every operation here
-is batch-transparent.  :class:`PathBatch` is the one trajectory driver, and
-:func:`evolve` runs it for most studies.  Randomness is addressed, never
+is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
+steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
 of batch or process layout.
 """
@@ -197,53 +197,38 @@ class Engine:
 
 
 class PathBatch:
-    """Trajectories traj (global indices, uint64) stepped in lockstep.
+    """Trajectories traj (global indices, uint64) of one configuration,
+    stepped in lockstep from cfg.x0: ``x`` is their (J, B) state, ``n`` its
+    index and ``blowup`` each path's first non-finite one."""
 
-    Each entry of x0s starts one (J, len(traj)) state of ``xs``; all see the
-    same noise, so two entries make a synchronously coupled pair.  ``n`` is
-    the current state index, ``blowup`` each path's first non-finite one.
-    """
-
-    def __init__(self, cfg: SchemeConfig, traj: np.ndarray, x0s,
+    def __init__(self, cfg: SchemeConfig, traj: np.ndarray,
                  allow_blowup: bool = False):
-        for x0 in x0s:
-            if np.shape(x0) != (cfg.n_modes,):
-                raise ConfigurationError(
-                    f"initial states must be unbatched arrays of shape "
-                    f"({cfg.n_modes},), got {np.shape(x0)}")
+        if cfg.x0.coeffs.shape != (cfg.n_modes,):
+            raise ConfigurationError(
+                f"initial states must be unbatched arrays of shape "
+                f"({cfg.n_modes},), got {cfg.x0.coeffs.shape}")
         self.cfg, self.traj, self.allow_blowup = cfg, traj, allow_blowup
         self.engine = Engine(cfg)
-        # A pair is stepped as two (J, B) states, not as one (J, 2B) batch:
-        # a BLAS gemm column can differ bitwise with the batch width (seen
-        # with OpenBLAS at J = 16 and 64), which would tie the coupled
-        # studies' bytes to how the pair is laid out.
-        self.xs = [np.repeat(x0[:, None], len(traj), axis=1) for x0 in x0s]
+        self.x = np.repeat(cfg.x0.coeffs[:, None], len(traj), axis=1)
         self.blowup = np.full(len(traj), -1, dtype=np.int64)
         self.n = 0
 
-    def advance(self, noise=None) -> None:
-        """Step every state on the given (J, B) noise term, else on the
-        noise addressed by (cfg.seed, traj, n).  A tamed drift contribution
-        of 1 or more raises TamingBoundViolation.  A non-finite state raises
-        TrajectoryOverflow, unless allow_blowup is set: then the path
-        freezes, and once all are frozen none is stepped any more."""
+    def advance(self, noise: np.ndarray) -> None:
+        """Step the state on the (J, B) noise term.  A tamed drift
+        contribution of 1 or more raises TamingBoundViolation.  A non-finite
+        state raises TrajectoryOverflow, unless allow_blowup is set: then the
+        path freezes, and once all are frozen none is stepped any more."""
         cfg, engine, traj, n = self.cfg, self.engine, self.traj, self.n
         self.n += 1
         if (self.blowup >= 0).all():
             return
-        if noise is None:
-            g = rng.normal_matrix(cfg.seed, traj, n, cfg.n_modes)
-            noise = engine.noise_from_gaussians(g)
-        new = []
-        for x in self.xs:
-            new.append(engine.step(x, noise))
-            if engine.taming and np.any(engine.last_drift_l2 >= 1.0):
-                bad = int(traj[int(np.argmax(engine.last_drift_l2 >= 1.0))])
-                raise TamingBoundViolation(
-                    f"tamed drift contribution of trajectory {bad} reached 1 "
-                    f"at state {n + 1}", step=n + 1, trajectory=bad)
-        finite = np.logical_and.reduce([np.isfinite(x).all(axis=0)
-                                        for x in new])
+        new = engine.step(self.x, noise)
+        if engine.taming and np.any(engine.last_drift_l2 >= 1.0):
+            bad = int(traj[int(np.argmax(engine.last_drift_l2 >= 1.0))])
+            raise TamingBoundViolation(
+                f"tamed drift contribution of trajectory {bad} reached 1 "
+                f"at state {n + 1}", step=n + 1, trajectory=bad)
+        finite = np.isfinite(new).all(axis=0)
         if not finite.all():
             if not self.allow_blowup:
                 bad = int(traj[int(np.argmin(finite))])
@@ -252,20 +237,57 @@ class PathBatch:
                     f"{n + 1} (dt={cfg.dt:g})", step=n + 1, trajectory=bad)
             self.blowup[(~finite) & (self.blowup < 0)] = n + 1
             dead = self.blowup >= 0
-            for x, x_new in zip(self.xs, new):
-                x_new[:, dead] = x[:, dead]
-        self.xs = new
+            new[:, dead] = self.x[:, dead]
+        self.x = new
 
 
-def evolve(cfg: SchemeConfig, traj: np.ndarray, x0s, on_state=None,
-           allow_blowup: bool = False):
-    """Run a :class:`PathBatch` through cfg.n_steps steps of addressed noise;
-    on_state(state_index, states, engine) fires for the initial states and
-    after every step.  Returns (final states, blow-up state index per path)."""
-    paths = PathBatch(cfg, traj, x0s, allow_blowup)
-    for n in range(cfg.n_steps + 1):
-        if n > 0:
-            paths.advance()
+def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
+    """Step one :class:`PathBatch` per configuration on one stream of
+    addressed noise, and return the batches.
+
+    The normals of fine step j are drawn once and scaled for the last,
+    finest configuration.  One at the finest step takes that noise array
+    itself, so its bytes are those of its solo run; one with r times fewer
+    steps advances every r fine steps on the in-order sum of their noise,
+    started from +0.0.  A coupled pair is two configurations that differ
+    only in x0, stepped as two (J, B) states, not one (J, 2B) batch: a BLAS
+    gemm column can differ bitwise with the batch width (seen with OpenBLAS
+    at J = 16 and 64), which would tie the pair's bytes to its layout.
+    on_state(n, batches) fires for the initial states and after every fine
+    step; once every path of every batch is frozen, nothing is drawn or
+    stepped.
+    """
+    fine = cfgs[-1]
+    ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1
+              for cfg in cfgs]
+    for cfg, r in zip(cfgs, ratios):
+        if (r * cfg.n_steps != fine.n_steps
+                or (cfg.seed, cfg.n_modes, cfg.noise_mode)
+                != (fine.seed, fine.n_modes, fine.noise_mode)
+                or not np.array_equal(cfg.cov.mode_weights,
+                                      fine.cov.mode_weights)):
+            raise ConfigurationError(
+                f"{cfg.n_steps} steps cannot share the noise of "
+                f"{fine.n_steps} steps: the step counts must nest, and seed, "
+                "n_modes, covariance and noise_mode agree")
+    batches = [PathBatch(cfg, traj, allow_blowup) for cfg in cfgs]
+    sums = [np.empty((fine.n_modes, len(traj))) if r > 1 else None
+            for r in ratios]
+    if on_state is not None:
+        on_state(0, batches)
+    for j in range(fine.n_steps):
+        if any((paths.blowup < 0).any() for paths in batches):
+            noise = batches[-1].engine.noise_from_gaussians(
+                rng.normal_matrix(fine.seed, traj, j, fine.n_modes))
+            for paths, r, acc in zip(batches, ratios, sums):
+                if r == 1:
+                    acc = noise
+                elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
+                    np.add(noise, 0.0, out=acc)
+                else:
+                    acc += noise
+                if j % r == r - 1:
+                    paths.advance(acc)
         if on_state is not None:
-            on_state(n, paths.xs, paths.engine)
-    return paths.xs, paths.blowup
+            on_state(j + 1, batches)
+    return batches

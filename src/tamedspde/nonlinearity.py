@@ -79,8 +79,6 @@ class Nonlinearity:
 
     sup_fprime is the supremum of f' over all of R (not just some window);
     constructors set it from calculus, custom polynomials leave it +inf.
-    dissipativity_rate, when given, is a lower bound on the contraction
-    margin of the drift and must be positive.
     """
 
     name: str
@@ -89,16 +87,12 @@ class Nonlinearity:
     fsecond: Callable
     growth_exponent: float
     sup_fprime: float
-    dissipativity_rate: float | None = None
     note: str | None = None
 
     def __post_init__(self):
         if self.growth_exponent < 2:
             raise ConfigurationError(
                 f"growth_exponent must be >= 2, got {self.growth_exponent}")
-        if self.dissipativity_rate is not None and self.dissipativity_rate <= 0:
-            raise ConfigurationError(
-                f"dissipativity_rate must be positive, got {self.dissipativity_rate}")
 
     @property
     def certifies_second_moment(self) -> bool:
@@ -128,8 +122,7 @@ def linear(c: float = 1.0) -> Nonlinearity:
         fprime=partial(_constant_fn, value=-c),
         fsecond=_zero_fn,
         growth_exponent=2.0,
-        sup_fprime=-c,
-        dissipativity_rate=c if c > 0 else None)
+        sup_fprime=-c)
 
 
 def dissipative_cubic(c: float = 1.0) -> Nonlinearity:
@@ -145,8 +138,7 @@ def dissipative_cubic(c: float = 1.0) -> Nonlinearity:
         fprime=partial(_cubic_d1, linear=c),
         fsecond=_cubic_d2,
         growth_exponent=3.0,
-        sup_fprime=-c,
-        dissipativity_rate=c if c > 0 else None)
+        sup_fprime=-c)
 
 
 def allen_cahn(a: float = 1.0) -> Nonlinearity:

@@ -128,8 +128,8 @@ def test_zero_drift_reduces_to_discrete_convolution():
     scale = increment_scale(cfg.cov, cfg.dt)
     traj = np.arange(3, dtype=np.uint64)
     states = []
-    evolve(cfg, traj, [cfg.x0.coeffs],
-           on_state=lambda idx, xs, engine: states.append(xs[0].copy()))
+    evolve([cfg], traj,
+           on_state=lambda idx, batches: states.append(batches[0].x.copy()))
     identical = len(states) == cfg.n_steps + 1
     for i in range(3):
         z = cfg.x0.coeffs.copy()

@@ -175,6 +175,31 @@ def test_off_grid_value_exits_2(tmp_path, capsys, experiment, sections):
     assert "whole steps" in err
 
 
+# A cost-curve step count that leaves the float range, because dt
+# underflows to 0 or the horizon's power overflows, is a configuration
+# error naming its eps: exit 2, not a traceback.
+_CUBIC = {"nonlinearity": {"name": "dissipative_cubic", "c": 1.0},
+          "covariance": "white", "n_modes": 8, "n_nodes": 32}
+_OUT_OF_RANGE = [
+    ({"model": _CUBIC,
+      "params": {"alpha": 0.001, "accuracy_scale": 1.0e-10,
+                 "eps_list": [0.5, 9.5367431640625e-07]}},
+     "eps=9.5367431640625e-07"),
+    ({"params": {"alpha": 0.1, "horizon_scale": 1.0e+300}}, "eps=0.0625"),
+]
+
+
+@pytest.mark.parametrize("sections, eps", _OUT_OF_RANGE)
+def test_cost_curve_out_of_float_range_exits_2(tmp_path, capsys, sections,
+                                               eps):
+    cfg = write_config(tmp_path, experiment="cost-curve", **sections)
+    assert cli.main(["cost-curve", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert eps in err
+
+
 def test_no_checkpoints_writes_header_only_csv(tmp_path):
     cfg = write_config(tmp_path, experiment="moment-growth",
                        params={"checkpoints": []})

@@ -235,7 +235,7 @@ def test_builder_validation():
 
 def test_builders_produce_model_objects():
     nl = build_nonlinearity({"name": "dissipative_cubic", "c": 2.0})
-    assert nl.dissipativity_rate == 2.0
+    assert nl.sup_fprime == -2.0
     cov = build_covariance({"kind": "power_decay", "decay": 3.0}, 4)
     assert cov.decay == 3.0
     x0 = build_x0({"kind": "bump", "center": 0.5, "width": 0.1}, 32, 128)

@@ -211,12 +211,11 @@ def test_streamed_weak_block_matches_materialised_levels():
         fine = np.stack([scale * rng.normal_matrix(cfg.seed, traj, j, 4)
                          for j in range(32)])
         for li, n in enumerate(level_steps):
-            paths = PathBatch(replace(cfg, dt=1.0 / n, n_steps=n), traj,
-                              [cfg.x0.coeffs])
+            paths = PathBatch(replace(cfg, dt=1.0 / n, n_steps=n), traj)
             for inc in aggregate_fine_increments(fine, n):
                 paths.advance(inc)
             assert np.array_equal(got[li],
-                                  EXP_NEG_L2SQ.evaluate(paths.xs[0])), n
+                                  EXP_NEG_L2SQ.evaluate(paths.x)), n
 
 
 def test_weak_block_memory_does_not_grow_with_fine_steps():
@@ -528,3 +527,7 @@ def test_cost_curve_validation():
     with pytest.raises(ConfigurationError):
         cost_curve(alpha=0.2, regularity=0.25, horizon_power=1, eps_list=[0.1],
                    horizon_scale=0.0)
+    for scale in ("horizon_scale", "accuracy_scale"):   # NaN is no scale
+        with pytest.raises(ConfigurationError, match="scales must be positive"):
+            cost_curve(alpha=0.2, regularity=0.25, horizon_power=1,
+                       eps_list=[0.1], **{scale: math.nan})

@@ -185,18 +185,18 @@ def _traj(*indices):
 
 def test_evolve_step_matches_engine():
     cfg = make_cfg(dissipative_cubic(1.0), seed=3, n_steps=1)
-    (out,), _ = evolve(cfg, _traj(0), [cfg.x0.coeffs])
+    paths, = evolve([cfg], _traj(0))
     engine = Engine(cfg)
     g = rng.normal_matrix(3, _traj(0), 0, 6)
     want = engine.step(cfg.x0.coeffs[:, None], engine.noise_from_gaussians(g))
-    assert np.array_equal(out, want)
+    assert np.array_equal(paths.x, want)
 
 
 def test_untamed_step_overflow_raises():
     cfg = make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), taming=False,
                    x0=unit_mode(6, 1, 1e150))
     with pytest.raises(TrajectoryOverflow):
-        evolve(cfg, _traj(0), [cfg.x0.coeffs])
+        evolve([cfg], _traj(0))
 
 
 def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
@@ -209,7 +209,7 @@ def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
 
     monkeypatch.setattr(integrators, "Engine", Inflated)
     with pytest.raises(TamingBoundViolation) as exc_info:
-        evolve(cfg, _traj(8, 9), [cfg.x0.coeffs])
+        evolve([cfg], _traj(8, 9))
     assert isinstance(exc_info.value, TrajectoryOverflow)
     assert exc_info.value.step == 1
     assert exc_info.value.trajectory == 8
@@ -234,20 +234,20 @@ def test_simulate_zero_steps():
     cfg = make_cfg(zero(), n_steps=0)
     rec = path_norms(cfg, 2)
     assert rec.times.shape == (1,)
-    (final,), _ = evolve(cfg, _traj(0), [cfg.x0.coeffs])
-    assert np.array_equal(final[:, 0], cfg.x0.coeffs)
+    paths, = evolve([cfg], _traj(0))
+    assert np.array_equal(paths.x[:, 0], cfg.x0.coeffs)
 
 
 def test_simulate_zero_drift_is_pure_noise_recursion():
     cfg = make_cfg(zero(), J=4, n_steps=8, seed=7, x0=unit_mode(4, 2, 0.3))
-    (final,), _ = evolve(cfg, _traj(2), [cfg.x0.coeffs])
+    paths, = evolve([cfg], _traj(2))
     decay = spectral.semigroup_factors(4, cfg.dt)
     scale = noise.increment_scale(cfg.cov, cfg.dt)
     x = cfg.x0.coeffs.copy()
     for n in range(8):
         inc = scale * rng.normal_matrix(7, _traj(2), n, 4)[:, 0]
         x = step_discrete_convolution(x, inc, decay)
-    assert np.array_equal(final[:, 0], x)
+    assert np.array_equal(paths.x[:, 0], x)
 
 
 def test_simulate_rejects_batched_x0():
@@ -255,14 +255,14 @@ def test_simulate_rejects_batched_x0():
     with pytest.raises(ConfigurationError):
         path_norms(cfg, 2)
     with pytest.raises(ConfigurationError):
-        evolve(cfg, _traj(0), [cfg.x0.coeffs])
+        evolve([cfg], _traj(0))
 
 
 def test_tamed_overflow_names_step_and_trajectory():
     cfg = make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), x0=unit_mode(6, 1, 1e110),
                    n_steps=5)
     with pytest.raises(TrajectoryOverflow) as exc_info:
-        evolve(cfg, _traj(4), [cfg.x0.coeffs])
+        evolve([cfg], _traj(4))
     assert exc_info.value.step == 1
     assert exc_info.value.trajectory == 4
 
@@ -276,26 +276,28 @@ def test_untamed_blowup_truncates_record():
     assert 1 <= step <= 200
     # rows from the blow-up step on repeat the last finite state
     assert np.all(rec.l2[step:, 0] == rec.l2[step - 1, 0])
-    (final,), blowup = evolve(cfg, _traj(0), [cfg.x0.coeffs],
-                              allow_blowup=True)
-    assert blowup.tolist() == [step]
-    assert np.all(np.isfinite(final))
+    paths, = evolve([cfg], _traj(0), allow_blowup=True)
+    assert paths.blowup.tolist() == [step]
+    assert np.all(np.isfinite(paths.x))
 
 
 def test_dead_paths_are_not_stepped(monkeypatch):
     # configs/blowup.yaml: all 100 paths are dead at state 7 of 200; the
     # later states repeat the frozen ones without drawing or stepping
     cfg = parse_config(str(_CONFIGS / "blowup.yaml")).scheme
-    calls = []
-    step = Engine.step
+    calls, draws = [], []
+    step, normal_matrix = Engine.step, rng.normal_matrix
     monkeypatch.setattr(Engine, "step",
                         lambda e, x, g: calls.append(1) or step(e, x, g))
+    monkeypatch.setattr(rng, "normal_matrix",
+                        lambda *a: draws.append(1) or normal_matrix(*a))
     states = []
-    _, blowup = evolve(cfg, _traj(*range(100)), [cfg.x0.coeffs],
-                       on_state=lambda n, xs, e: states.append(xs[0]),
-                       allow_blowup=True)
+    paths, = evolve([cfg], _traj(*range(100)),
+                    on_state=lambda n, batches: states.append(batches[0].x),
+                    allow_blowup=True)
     assert len(calls) == 7
-    assert blowup.tolist() == [7] * 100
+    assert len(draws) == 7
+    assert paths.blowup.tolist() == [7] * 100
     assert len(states) == cfg.n_steps + 1
     assert all(np.array_equal(s, states[6]) for s in states[7:])
 
@@ -313,54 +315,77 @@ def test_tamed_same_start_does_not_blow_up():
 def test_coupled_pair_difference_sees_no_noise():
     # zero drift: the difference contracts by exactly the semigroup factor
     cfg = make_cfg(zero(), J=4, n_steps=10, seed=9)
-    a, b = unit_mode(4, 1, 2.0).coeffs, unit_mode(4, 1, -1.0).coeffs
-    (xa, xb), _ = evolve(cfg, _traj(0), [a, b])
+    a, b = unit_mode(4, 1, 2.0), unit_mode(4, 1, -1.0)
+    pa, pb = evolve([replace(cfg, x0=a), replace(cfg, x0=b)], _traj(0))
     decay = spectral.semigroup_factors(4, cfg.dt)
-    assert np.allclose((xa - xb)[:, 0], decay ** 10 * (a - b),
+    assert np.allclose((pa.x - pb.x)[:, 0], decay ** 10 * (a.coeffs - b.coeffs),
                        rtol=1e-9, atol=1e-15)
 
 
 def test_coupled_pair_contracts_under_dissipative_drift():
     cfg = make_cfg(dissipative_cubic(1.0), J=8, dt=0.01, n_steps=100, seed=1)
-    (xa, xb), _ = evolve(cfg, _traj(0), [unit_mode(8, 1, 1.0).coeffs,
-                                         spectral.zero_field(8).coeffs])
-    dist = np.sqrt(((xa - xb) ** 2).sum())
+    pa, pb = evolve([replace(cfg, x0=unit_mode(8, 1, 1.0)),
+                     replace(cfg, x0=spectral.zero_field(8))], _traj(0))
+    dist = np.sqrt(((pa.x - pb.x) ** 2).sum())
     assert dist < 1.0 * math.exp(-0.5 * cfg.horizon)
 
 
 def test_coupled_pair_shares_one_stream():
     cfg = make_cfg(zero(), J=4, n_steps=6, seed=13)
-    (xa, _), _ = evolve(cfg, _traj(5), [cfg.x0.coeffs,
-                                        spectral.zero_field(4).coeffs])
-    (solo,), _ = evolve(cfg, _traj(5), [cfg.x0.coeffs])
-    assert np.array_equal(xa, solo)
+    pa, _ = evolve([cfg, replace(cfg, x0=spectral.zero_field(4))], _traj(5))
+    solo, = evolve([cfg], _traj(5))
+    assert np.array_equal(pa.x, solo.x)
 
 
 def test_coupled_pair_validation():
     cfg = make_cfg(zero())
     with pytest.raises(ConfigurationError):
-        evolve(cfg, _traj(0), [unit_mode(5, 1).coeffs, unit_mode(6, 1).coeffs])
+        evolve([replace(cfg, x0=unit_mode(5, 1)), cfg], _traj(0))
     with pytest.raises(ConfigurationError):
-        evolve(cfg, _traj(0), [np.zeros((6, 2)), unit_mode(6, 1).coeffs])
+        evolve([replace(cfg, x0=SpectralField(np.zeros((6, 2)))), cfg],
+               _traj(0))
 
 
-def test_blowup_freezes_both_states_of_a_pair():
+def test_blowup_freezes_only_its_own_configuration():
     cfg = make_cfg(dissipative_cubic(0.0), J=16, dt=0.25, n_steps=30,
                    taming=False, x0=spectral.zero_field(16),
                    cov=noise.white(16))
     seen = []
-    _, blowup = evolve(cfg, _traj(0),
-                       [np.zeros(16), unit_mode(16, 1, 10.0).coeffs],
-                       allow_blowup=True,
-                       on_state=lambda idx, xs, engine: seen.append(
-                           [x.copy() for x in xs]))
-    step = int(blowup[0])
+    calm, hot = evolve([cfg, replace(cfg, x0=unit_mode(16, 1, 10.0))],
+                       _traj(0), allow_blowup=True,
+                       on_state=lambda idx, batches: seen.append(
+                           [p.x.copy() for p in batches]))
+    step = int(hot.blowup[0])
     assert 1 <= step <= 30 and len(seen) == 31
-    # both states of the path freeze at the last state where both were finite
+    # the blown configuration freezes at its last finite state
     for later in seen[step:]:
-        assert np.array_equal(later[0], seen[step - 1][0])
         assert np.array_equal(later[1], seen[step - 1][1])
-    assert np.all(np.isfinite(seen[-1][0])) and np.all(np.isfinite(seen[-1][1]))
+    assert np.all(np.isfinite(seen[-1][1]))
+    # its partner steps on, bitwise as in its solo run
+    solo, = evolve([cfg], _traj(0), allow_blowup=True)
+    assert calm.blowup.tolist() == solo.blowup.tolist() == [-1]
+    assert np.array_equal(calm.x, solo.x)
+    assert not np.array_equal(seen[-1][0], seen[step - 1][0])
+
+
+def test_configurations_share_one_noise():
+    # one noise stream, several schemes: each batch is its solo run
+    base = make_cfg(dissipative_cubic(1.0), J=8, n_steps=12, seed=21)
+    cfgs = [base, replace(base, nl=linear(1.0), taming=False),
+            replace(base, nl=zero())]
+    for cfg, paths in zip(cfgs, evolve(cfgs, _traj(3, 4, 5))):
+        solo, = evolve([cfg], _traj(3, 4, 5))
+        assert np.array_equal(paths.x, solo.x), cfg.nl.name
+
+
+def test_configurations_that_cannot_share_noise_are_rejected():
+    cfg = make_cfg(zero(), n_steps=12)
+    with pytest.raises(ConfigurationError, match="must nest"):
+        evolve([replace(cfg, dt=0.12, n_steps=5), cfg], _traj(0))
+    with pytest.raises(ConfigurationError, match="seed"):
+        evolve([replace(cfg, seed=1), cfg], _traj(0))
+    with pytest.raises(ConfigurationError, match="covariance"):
+        evolve([replace(cfg, cov=noise.power_decay(6, 2.0)), cfg], _traj(0))
 
 
 # --- configuration validation ------------------------------------------------------

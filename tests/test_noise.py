@@ -133,12 +133,12 @@ def _final(seed, traj, increments=None):
                        x0=zero_field(4), seed=seed)
     traj = np.array(traj, dtype=np.uint64)
     if increments is None:
-        (x,), _ = evolve(cfg, traj, [np.zeros(4)])
-        return x
-    paths = PathBatch(cfg, traj, [np.zeros(4)])
+        paths, = evolve([cfg], traj)
+        return paths.x
+    paths = PathBatch(cfg, traj)
     for inc in increments:
         paths.advance(inc)
-    return paths.xs[0]
+    return paths.x
 
 
 def test_stream_is_reproducible():

@@ -124,14 +124,12 @@ def test_drift_norm_never_silently_nan():
 
 def test_constructor_metadata():
     cubic = nl.dissipative_cubic(1.0)
-    assert cubic.sup_fprime == -1.0
+    assert cubic.sup_fprime == -1.0     # dissipative with margin 1
     assert cubic.growth_exponent == 3.0
-    assert cubic.dissipativity_rate == 1.0
     assert cubic.certifies_second_moment and cubic.certifies_all_moments
 
     pure = nl.dissipative_cubic(0.0)
-    assert pure.sup_fprime == 0.0
-    assert pure.dissipativity_rate is None
+    assert pure.sup_fprime == 0.0       # no dissipative margin
     assert not pure.certifies_all_moments
 
     ac = nl.allen_cahn(1.0)
@@ -140,7 +138,7 @@ def test_constructor_metadata():
     assert "second moments only" in ac.note
 
     lin = nl.linear(2.0)
-    assert lin.sup_fprime == -2.0 and lin.dissipativity_rate == 2.0
+    assert lin.sup_fprime == -2.0       # dissipative with margin 2
 
     poly = nl.polynomial([0.0, 0.0, 1.0])
     assert math.isinf(poly.sup_fprime)
