@@ -12,7 +12,7 @@ import argparse
 from tamedspde import noise, spectral
 from tamedspde.estimators import L2_SQUARED, ergodic_average
 from tamedspde.gaussian_oracle import linear_invariant_variance
-from tamedspde.integrators import SchemeConfig
+from tamedspde.integrators import SchemeConfig, whole_steps
 from tamedspde.nonlinearity import linear
 
 
@@ -31,13 +31,13 @@ def main() -> None:
     cov = noise.white(args.modes)
     cfg = SchemeConfig(
         n_modes=args.modes, n_nodes=4 * args.modes, dt=args.dt,
-        n_steps=round(args.horizon / args.dt), cov=cov, nl=linear(args.rate),
-        x0=spectral.unit_mode(args.modes, 1), seed=args.seed, taming=True,
-        noise_mode="exact")
+        n_steps=whole_steps(args.horizon, args.dt), cov=cov,
+        nl=linear(args.rate), x0=spectral.unit_mode(args.modes, 1),
+        seed=args.seed, taming=True, noise_mode="exact")
 
     target = float(linear_invariant_variance(args.rate, cov).sum())
     study = ergodic_average(cfg, L2_SQUARED, burn_in=args.burn_in,
-                            horizon=args.horizon, n_paths=args.paths)
+                            n_paths=args.paths)
 
     print(f"invariant squared-norm mean (closed form): {target:.6f}")
     for name, est in (("ensemble at horizon   ", study.ensemble),

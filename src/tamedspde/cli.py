@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +117,8 @@ def _run_moment_growth(cfg: ExperimentConfig):
 def _run_weak_order(cfg: ExperimentConfig):
     p = cfg.params
     study = weak_order_study(cfg.scheme, p["dt_list"],
-                             FUNCTIONALS[p["functional"]],
-                             cfg.resolved["discretization"]["horizon"],
-                             cfg.n_paths, cfg.workers)
+                             FUNCTIONALS[p["functional"]], cfg.n_paths,
+                             cfg.workers)
     rows = [(lv.dt, lv.n_steps, lv.mean, lv.std_error, lv.error,
              lv.error_std_error, lv.noise_dominated) for lv in study.levels]
     fit = None if study.fit is None else {
@@ -138,9 +137,7 @@ def _run_weak_order(cfg: ExperimentConfig):
 def _run_ergodic(cfg: ExperimentConfig):
     p = cfg.params
     study = ergodic_average(cfg.scheme, FUNCTIONALS[p["functional"]],
-                            p["burn_in"],
-                            cfg.resolved["discretization"]["horizon"],
-                            cfg.n_paths, cfg.workers)
+                            p["burn_in"], cfg.n_paths, cfg.workers)
     rows = [("ensemble", study.ensemble.value, study.ensemble.std_error,
              study.ensemble.n_samples),
             ("time_average", study.time_average.value,
@@ -159,7 +156,8 @@ def _run_contraction(cfg: ExperimentConfig):
     scheme = cfg.scheme
     x0_a = build_x0(p["x0_a"], scheme.n_modes, scheme.n_nodes)
     x0_b = build_x0(p["x0_b"], scheme.n_modes, scheme.n_nodes)
-    study = contraction_rate(scheme, x0_a, x0_b, cfg.n_paths, cfg.workers)
+    study = contraction_rate(replace(scheme, x0=x0_a), x0_b, cfg.n_paths,
+                             cfg.workers)
     rows = [(i, r) for i, r in enumerate(study.per_path_rates)]
     summary = {"rate": study.rate, "ci_low": study.ci_low,
                "ci_high": study.ci_high, "n_paths": study.n_paths,

@@ -70,10 +70,22 @@ def _check_keys(section: str, given: dict, allowed) -> None:
 # converters: each returns a value in canonical form or raises TypeError or
 # ValueError, which _read reports as a ConfigurationError naming the key
 
+def _not_bool(value):
+    # YAML's true and false are ints to Python, and no number here
+    if isinstance(value, bool):
+        raise TypeError(f"must be a number, got {value!r}")
+    return value
+
+
 def _int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_not_bool(value), float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def _float(value) -> float:
+    # strings stay accepted: PyYAML reads 1e-3 as the string '1e-3'
+    return float(_not_bool(value))
 
 
 def _count(value) -> int:
@@ -187,27 +199,27 @@ def _on_modes(make):
 
 _NONLINEARITY = _Choices("name", {
     "zero": (nl_mod.zero, {}),
-    "linear": (nl_mod.linear, {"c": (1.0, float)}),
-    "dissipative_cubic": (nl_mod.dissipative_cubic, {"c": (1.0, float)}),
-    "allen_cahn": (nl_mod.allen_cahn, {"a": (1.0, float)}),
-    "polynomial": (nl_mod.polynomial, {"coeffs": (_REQUIRED, _list(float))}),
+    "linear": (nl_mod.linear, {"c": (1.0, _float)}),
+    "dissipative_cubic": (nl_mod.dissipative_cubic, {"c": (1.0, _float)}),
+    "allen_cahn": (nl_mod.allen_cahn, {"a": (1.0, _float)}),
+    "polynomial": (nl_mod.polynomial, {"coeffs": (_REQUIRED, _list(_float))}),
 })
 
 _COVARIANCE = _Choices("kind", {
     "white": (noise_mod.white, {}),
-    "power_decay": (noise_mod.power_decay, {"decay": (_REQUIRED, float)}),
-    "explicit": (_explicit_covariance, {"weights": (_REQUIRED, _list(float))}),
+    "power_decay": (noise_mod.power_decay, {"decay": (_REQUIRED, _float)}),
+    "explicit": (_explicit_covariance, {"weights": (_REQUIRED, _list(_float))}),
 })
 
 _X0 = _Choices("kind", {
     "zero": (_on_modes(spectral.zero_field), {}),
     "unit_mode": (_on_modes(spectral.unit_mode),
-                  {"mode": (1, _int), "amplitude": (1.0, float)}),
+                  {"mode": (1, _int), "amplitude": (1.0, _float)}),
     "multi_mode": (_on_modes(spectral.multi_mode),
-                   {"amplitude": (1.0, float), "rate": (2.0, float)}),
+                   {"amplitude": (1.0, _float), "rate": (2.0, _float)}),
     "bump": (spectral.bump_profile,
-             {"center": (0.5, float), "width": (0.1, float),
-              "amplitude": (1.0, float)}),
+             {"center": (0.5, _float), "width": (0.1, _float),
+              "amplitude": (1.0, _float)}),
 })
 
 _MODEL = {
@@ -219,11 +231,11 @@ _MODEL = {
 }
 
 _DISCRETIZATION = {
-    "dt": (0.1, float),
-    "dt_list": (None, _optional(_list(float))),
-    "horizon": (None, _optional(float)),
+    "dt": (0.1, _float),
+    "dt_list": (None, _optional(_list(_float))),
+    "horizon": (None, _optional(_float)),
     "n_steps": (100, _int),
-    "dt_max": (0.5, float),
+    "dt_max": (0.5, _float),
     "taming": (True, _bool),
     "noise_mode": ("increment", _text),
 }
@@ -240,33 +252,33 @@ _PARAMS = {
     "moment-growth": {
         "power": (2, _count),
         "norm": ("l2", _one_of("l2", "sup")),
-        "checkpoints": (lambda run: [run["length"]], _list(float)),
+        "checkpoints": (lambda run: [run["length"]], _list(_float)),
     },
     "weak-order": {
-        "dt_list": (_REQUIRED, _list(float)),
+        "dt_list": (_REQUIRED, _list(_float)),
         "functional": ("exp_neg_l2sq", _one_of(*FUNCTIONALS)),
     },
     "ergodic": {
         "functional": ("l2_squared", _one_of(*FUNCTIONALS)),
-        "burn_in": (lambda run: run["length"] / 5.0, float),
+        "burn_in": (lambda run: run["length"] / 5.0, _float),
     },
     "contraction": {
         "x0_a": (lambda run: run["x0"], _X0),
         "x0_b": ("zero", _X0),
     },
     "cost-curve": {
-        "alpha": (_REQUIRED, float),
+        "alpha": (_REQUIRED, _float),
         "regularity": (lambda run: noise_mod.classify_regularity(
-            run["cov"]).exponent, float),
+            run["cov"]).exponent, _float),
         "horizon_power": (lambda run: round(
             3 * run["nl"].growth_exponent * run["nl"].growth_exponent), _int),
-        "eps_list": (tuple(2.0 ** -k for k in range(4, 21)), _list(float)),
-        "horizon_scale": (1.0, float),
-        "accuracy_scale": (1.0, float),
+        "eps_list": (tuple(2.0 ** -k for k in range(4, 21)), _list(_float)),
+        "horizon_scale": (1.0, _float),
+        "accuracy_scale": (1.0, _float),
     },
     "audit": {
-        "z_lo": (-10.0, float),
-        "z_hi": (10.0, float),
+        "z_lo": (-10.0, _float),
+        "z_hi": (10.0, _float),
         "samples": (2001, _int),
     },
 }
@@ -331,10 +343,10 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                 "dt_list given in both discretization and params; pick one")
         params_given["dt_list"] = disc["dt_list"]
     horizon = disc["horizon"]
-    if experiment in ("weak-order", "ergodic") and horizon is None:
-        raise ConfigurationError(
-            f"discretization.horizon is required for {experiment}")
     if experiment == "weak-order":
+        if horizon is None:
+            raise ConfigurationError(
+                "discretization.horizon is required for weak-order")
         for key in ("dt", "n_steps"):
             if key in given["discretization"]:
                 raise ConfigurationError(

@@ -321,19 +321,17 @@ class WeakOrderStudy:
     noise_dominated: bool
 
 
-def _weak_block(start, count, *, cfg, horizon, level_steps, functional):
+def _weak_block(start, count, *, levels, functional):
     # one pass: the levels share the finest level's noise in one evolve
-    levels = evolve([replace(cfg, dt=horizon / n, n_steps=n)
-                     for n in level_steps], _traj(start, count))
-    return (np.stack([functional.evaluate(p.x) for p in levels]),)
+    return (np.stack([functional.evaluate(p.x)
+                      for p in evolve(levels, _traj(start, count))]),)
 
 
 def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
-                     horizon: float, n_paths: int,
-                     workers: int = 1) -> WeakOrderStudy:
+                     n_paths: int, workers: int = 1) -> WeakOrderStudy:
     """Self-convergence weak-error study with coupled noise across levels.
 
-    Every level of dt_list must divide the horizon into whole steps and be
+    Every level of dt_list must divide cfg's horizon into whole steps and be
     an integer multiple of the finest level, whose paths serve as the
     reference.  Coarse increments are sums of the fine ones, so per-path
     differences estimate the weak error with far smaller variance than
@@ -355,24 +353,24 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
         raise ConfigurationError(
             f"finest dt={dts[-1]} must be at least 4x smaller than "
             f"coarsest dt={dts[0]}")
-    level_steps = [whole_steps(horizon, dt) for dt in dts]
+    runs = [replace(cfg, dt=dt, n_steps=whole_steps(cfg.horizon, dt))
+            for dt in dts]
     _warn_if_rough(functional)
 
     phi, = _map_blocks(                          # (n_levels, n_paths)
-        partial(_weak_block, cfg=cfg, horizon=horizon,
-                level_steps=level_steps, functional=functional),
+        partial(_weak_block, levels=runs, functional=functional),
         n_paths, workers)
 
     ref = phi[-1]
     levels = []
-    for li, (dt, n) in enumerate(zip(dts, level_steps)):
+    for li, run in enumerate(runs):
         est = MCEstimate.from_samples(phi[li])
         diff = MCEstimate.from_samples(phi[li] - ref)
         err, err_se = abs(diff.value), diff.std_error
-        is_ref = li == len(dts) - 1
+        is_ref = li == len(runs) - 1
         levels.append(WeakOrderLevel(
-            dt=dt, n_steps=n, mean=est.value, std_error=est.std_error,
-            error=err, error_std_error=err_se,
+            dt=run.dt, n_steps=run.n_steps, mean=est.value,
+            std_error=est.std_error, error=err, error_std_error=err_se,
             noise_dominated=(not is_ref) and err <= 2.0 * err_se))
 
     usable = [(lv.dt, lv.error) for lv in levels[:-1] if not lv.noise_dominated]
@@ -382,7 +380,7 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
     else:
         fit = None
         dominated = True
-    return WeakOrderStudy(functional=functional.name, horizon=horizon,
+    return WeakOrderStudy(functional=functional.name, horizon=cfg.horizon,
                           n_paths=n_paths, levels=tuple(levels), fit=fit,
                           noise_dominated=dominated)
 
@@ -414,7 +412,7 @@ def _ergodic_block(start, count, *, cfg, functional, first_step):
 
 
 def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
-                    burn_in: float, horizon: float, n_paths: int,
+                    burn_in: float, n_paths: int,
                     workers: int = 1) -> ErgodicStudy:
     """Two estimators of the invariant mean of a functional.
 
@@ -424,16 +422,19 @@ def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
     (autocorrelation within a path is absorbed there).  Blow-up anywhere is
     a hard failure: averages over truncated paths would estimate nothing.
     """
-    if not 0.0 <= burn_in < horizon:
+    if not 0.0 <= burn_in < cfg.horizon:
         raise ConfigurationError(
-            f"burn_in={burn_in} must lie in [0, horizon={horizon})")
-    run_cfg = replace(cfg, n_steps=whole_steps(horizon, cfg.dt))
+            f"burn_in={burn_in} must lie in [0, horizon={cfg.horizon})")
     first_step = int(math.floor(burn_in / cfg.dt + 1e-9)) + 1
+    if first_step > cfg.n_steps:
+        raise ConfigurationError(
+            f"burn_in={burn_in} leaves no state to average before the "
+            f"horizon {cfg.horizon} (dt={cfg.dt})")
     finals, path_means = _map_blocks(
-        partial(_ergodic_block, cfg=run_cfg, functional=functional,
+        partial(_ergodic_block, cfg=cfg, functional=functional,
                 first_step=first_step),
         n_paths, workers)
-    return ErgodicStudy(functional=functional.name, horizon=horizon,
+    return ErgodicStudy(functional=functional.name, horizon=cfg.horizon,
                         burn_in=burn_in, n_paths=n_paths,
                         ensemble=MCEstimate.from_samples(finals),
                         time_average=MCEstimate.from_samples(path_means))
@@ -459,20 +460,19 @@ class ContractionStudy:
     per_path_rates: np.ndarray
 
 
-def _contraction_block(start, count, *, cfg, x0_a, x0_b):
-    dist = np.empty((cfg.n_steps + 1, count))
+def _contraction_block(start, count, *, pair):
+    dist = np.empty((pair[0].n_steps + 1, count))
 
     def on_state(idx, batches):
         a, b = batches
         dist[idx] = np.sqrt(((a.x - b.x) ** 2).sum(axis=0))
 
-    evolve([replace(cfg, x0=x0_a), replace(cfg, x0=x0_b)],
-           _traj(start, count), on_state=on_state)
+    evolve(pair, _traj(start, count), on_state=on_state)
 
     # per-path window: stop at the first nonpositive or non-finite distance
     bad = (dist <= 0.0) | ~np.isfinite(dist)
     lengths = np.where(bad.any(axis=0), bad.argmax(axis=0), dist.shape[0])
-    t = cfg.dt * np.arange(dist.shape[0])[:, None]
+    t = pair[0].dt * np.arange(dist.shape[0])[:, None]
     mask = np.arange(dist.shape[0])[:, None] < lengths[None, :]
     y = np.where(mask, np.log(np.where(mask, dist, 1.0)), 0.0)
     w = mask.astype(np.float64)
@@ -487,17 +487,18 @@ def _contraction_block(start, count, *, cfg, x0_a, x0_b):
     return slopes, n_pts
 
 
-def contraction_rate(cfg: SchemeConfig, x0_a, x0_b, n_paths: int,
+def contraction_rate(cfg: SchemeConfig, x0_b, n_paths: int,
                      workers: int = 1) -> ContractionStudy:
-    """Decay rate of the L2 distance between paths driven by shared noise."""
-    a, b = x0_a.coeffs, x0_b.coeffs
+    """Decay rate of the L2 distance between paths from cfg.x0 and from
+    x0_b, driven by shared noise."""
+    a, b = cfg.x0.coeffs, x0_b.coeffs
     if np.array_equal(a, b):
         raise ConfigurationError(
-            "x0_a and x0_b coincide; the coupled distance is identically zero")
+            "x0 and x0_b coincide; the coupled distance is identically zero")
     if cfg.n_steps < 2:
         raise ConfigurationError("need n_steps >= 2 to fit a decay rate")
     slopes, n_pts = _map_blocks(
-        partial(_contraction_block, cfg=cfg, x0_a=x0_a, x0_b=x0_b),
+        partial(_contraction_block, pair=[cfg, replace(cfg, x0=x0_b)]),
         n_paths, workers)
     keep = n_pts >= 2
     if not keep.any():

@@ -114,8 +114,9 @@ def zero() -> Nonlinearity:
 
 def linear(c: float = 1.0) -> Nonlinearity:
     """f(z) = -c z with c >= 0; the closed-form comparison case."""
-    if c < 0:
-        raise ConfigurationError(f"linear coefficient must be >= 0, got {c}")
+    if not 0 <= c < math.inf:   # NaN included
+        raise ConfigurationError(
+            f"linear coefficient must be finite and >= 0, got {c}")
     return Nonlinearity(
         name="linear",
         f=partial(_linear_fn, slope=-c),
@@ -130,8 +131,9 @@ def dissipative_cubic(c: float = 1.0) -> Nonlinearity:
 
     sup f' = -c, so c > 0 certifies all moment orders with margin c.
     """
-    if c < 0:
-        raise ConfigurationError(f"cubic linear coefficient must be >= 0, got {c}")
+    if not 0 <= c < math.inf:   # NaN included
+        raise ConfigurationError(
+            f"cubic linear coefficient must be finite and >= 0, got {c}")
     return Nonlinearity(
         name="dissipative_cubic",
         f=partial(_cubic_fn, linear=c),
@@ -148,6 +150,8 @@ def allen_cahn(a: float = 1.0) -> Nonlinearity:
     higher-moment condition is not certified by any route implemented here,
     so the descriptor carries a warning note that surfaces in run manifests.
     """
+    if not math.isfinite(a):
+        raise ConfigurationError(f"allen_cahn gain must be finite, got {a}")
     note = None
     if a > 0:
         note = ("dissipativity certified for second moments only; "

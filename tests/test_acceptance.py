@@ -191,9 +191,8 @@ def test_coupled_paths_contract_at_unit_rate():
     t0 = time.perf_counter()
     cfg = SchemeConfig(n_modes=16, n_nodes=64, dt=0.01, n_steps=500,
                        cov=noise.white(16), nl=dissipative_cubic(1.0),
-                       x0=spectral.zero_field(16), seed=0, taming=True)
-    study = contraction_rate(cfg, spectral.unit_mode(16, 1),
-                             spectral.zero_field(16), n_paths=100)
+                       x0=spectral.unit_mode(16, 1), seed=0, taming=True)
+    study = contraction_rate(cfg, spectral.zero_field(16), n_paths=100)
     rel_width = (study.ci_high - study.ci_low) / study.rate
     elapsed = time.perf_counter() - t0
     ok = study.rate >= 1.0 and rel_width < 0.10 and elapsed < 60.0
@@ -214,8 +213,7 @@ def test_ergodic_averages_hit_invariant_value():
                        x0=spectral.unit_mode(16, 1), seed=0, taming=True,
                        noise_mode="exact")
     target = float(linear_invariant_variance(1.0, cfg.cov).sum())
-    study = ergodic_average(cfg, L2_SQUARED, burn_in=10.0, horizon=50.0,
-                            n_paths=1000)
+    study = ergodic_average(cfg, L2_SQUARED, burn_in=10.0, n_paths=1000)
     checks = {}
     for name, est in (("ensemble", study.ensemble),
                       ("time-avg", study.time_average)):
@@ -240,8 +238,7 @@ def test_nonlinear_weak_order_near_one():
                        cov=noise.power_decay(J, 3.0), nl=dissipative_cubic(1.0),
                        x0=spectral.unit_mode(J, 1), seed=0, taming=True)
     dts = [2.0 ** -k for k in range(2, 9)]
-    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, horizon=1.0,
-                             n_paths=102_400)
+    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, n_paths=102_400)
     elapsed = time.perf_counter() - t0
     if study.fit is None:
         _record(9, "nonlinear weak order near one", False,

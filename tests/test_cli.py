@@ -175,6 +175,39 @@ def test_off_grid_value_exits_2(tmp_path, capsys, experiment, sections):
     assert "whole steps" in err
 
 
+# A non-finite reaction coefficient is refused before any step is taken:
+# exit 2, not a numeric failure at the first state.
+@pytest.mark.parametrize("nonlinearity", [
+    {"name": "linear", "c": float("nan")},
+    {"name": "dissipative_cubic", "c": float("inf")},
+    {"name": "allen_cahn", "a": float("inf")},
+    {"name": "allen_cahn", "a": float("nan")},
+])
+def test_non_finite_reaction_coefficient_exits_2(tmp_path, capsys,
+                                                 nonlinearity):
+    cfg = write_config(tmp_path, model={"nonlinearity": nonlinearity,
+                                        "covariance": "white",
+                                        "n_modes": 4, "n_nodes": 16})
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert "finite" in err
+
+
+def test_empty_ergodic_window_exits_2(tmp_path, capsys):
+    # the burn-in is below the horizon, but within the grid tolerance of
+    # the last state, so no state is left to average
+    cfg = write_config(tmp_path, experiment="ergodic",
+                       discretization={"dt": 0.1, "horizon": 2.0},
+                       params={"burn_in": 1.99999999999})
+    assert cli.main(["ergodic", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: burn_in=1.99999999999"), err
+    assert not (tmp_path / "out" / "ergodic.csv").exists()
+
+
 # A cost-curve step count that leaves the float range, because dt
 # underflows to 0 or the horizon's power overflows, is a configuration
 # error naming its eps: exit 2, not a traceback.
@@ -235,7 +268,17 @@ _PINNED_CSV = {
 }
 
 
-def _pinned_csv(tmp_path, experiment) -> bytes:
+# SHA-256 of the summary JSON of the same runs, captured while the studies
+# still took their horizon as a separate argument; both report a horizon.
+_PINNED_JSON = {
+    "weak-order":
+        "58634a462149a43554ef49b1262afc80bf6f17cee640d5246b922e60f77f9110",
+    "ergodic":
+        "e320c97804287ecd9e754afbfc4a652ef9dc97f06c8aaf62038306f1cf85d542",
+}
+
+
+def _pinned_run(tmp_path, experiment) -> Path:
     sections, _ = _PINNED_CSV[experiment]
     cfg = write_config(tmp_path, experiment=experiment,
                        model={"nonlinearity": "zero", "covariance": "white",
@@ -243,13 +286,19 @@ def _pinned_csv(tmp_path, experiment) -> bytes:
                        sampling={"n_paths": 1100, "seed": 7}, **sections)
     out = tmp_path / "out"
     assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 0
-    return (out / f"{experiment}.csv").read_bytes()
+    return out
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("experiment", sorted(_PINNED_CSV))
 def test_csv_bytes_are_pinned(tmp_path, experiment):
-    digest = hashlib.sha256(_pinned_csv(tmp_path, experiment)).hexdigest()
-    assert digest == _PINNED_CSV[experiment][1]
+    out = _pinned_run(tmp_path, experiment)
+    assert _sha256(out / f"{experiment}.csv") == _PINNED_CSV[experiment][1]
+    if experiment in _PINNED_JSON:
+        assert _sha256(out / f"{experiment}.json") == _PINNED_JSON[experiment]
 
 
 def test_tamed_overflow_exits_3(tmp_path, capsys):
@@ -473,6 +522,10 @@ _MALFORMED = [
     ("weak-order", {"discretization": {"horizon": 1.0, "n_steps": 4},
                     "params": {"dt_list": [0.25, 0.125, 0.0625]}},
      "discretization.n_steps"),
+    # YAML's true is an int to Python, but no count or coefficient
+    ("simulate", {"sampling": {"n_paths": 3, "seed": True}}, "sampling.seed"),
+    ("simulate", {"model": {"nonlinearity": {"name": "linear", "c": True},
+                            "covariance": "white"}}, "model.nonlinearity.c"),
 ]
 
 

@@ -159,8 +159,11 @@ def test_ergodic_defaults_and_functional_check():
                           "discretization": {"dt": 0.1, "horizon": 10.0}})
     assert cfg.params["burn_in"] == pytest.approx(2.0)
     assert cfg.params["functional"] == "l2_squared"
-    with pytest.raises(ConfigurationError, match="horizon"):
-        resolve_config({**MINIMAL, "experiment": "ergodic"})
+    # like every experiment but weak-order, ergodic takes n_steps instead
+    steps = resolve_config({**MINIMAL, "experiment": "ergodic",
+                            "discretization": {"dt": 0.1, "n_steps": 100}})
+    assert steps.scheme.n_steps == 100
+    assert steps.params["burn_in"] == pytest.approx(2.0)
     with pytest.raises(ConfigurationError, match="functional"):
         resolve_config({**MINIMAL, "experiment": "ergodic",
                         "discretization": {"dt": 0.1, "horizon": 10.0},

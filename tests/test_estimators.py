@@ -205,8 +205,8 @@ def test_streamed_weak_block_matches_materialised_levels():
     level_steps = [4, 8, 16, 32]
     scale = noise.increment_scale(cfg.cov, 1.0 / 32)[:, None]
     for start, count in ((0, 1024), (1024, 76)):   # the blocks of 1100 paths
-        got, = _weak_block(start, count, cfg=cfg, horizon=1.0,
-                           level_steps=level_steps, functional=EXP_NEG_L2SQ)
+        got, = _weak_block(start, count, functional=EXP_NEG_L2SQ, levels=[
+            replace(cfg, dt=1.0 / n, n_steps=n) for n in level_steps])
         traj = np.arange(start, start + count, dtype=np.uint64)
         fine = np.stack([scale * rng.normal_matrix(cfg.seed, traj, j, 4)
                          for j in range(32)])
@@ -226,9 +226,9 @@ def test_weak_block_memory_does_not_grow_with_fine_steps():
     for n_fine in (64, 1024):
         tracemalloc.start()
         try:
-            _weak_block(0, 64, cfg=cfg, horizon=1.0,
-                        level_steps=[n_fine // 16, n_fine // 4, n_fine],
-                        functional=EXP_NEG_L2SQ)
+            _weak_block(0, 64, functional=EXP_NEG_L2SQ, levels=[
+                replace(cfg, dt=1.0 / n, n_steps=n)
+                for n in (n_fine // 16, n_fine // 4, n_fine)])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -244,8 +244,7 @@ def test_weak_order_matches_analytic_self_curve():
     dts = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        study = weak_order_study(cfg, dts, L2_SQUARED, horizon=1.0,
-                                 n_paths=2048)
+        study = weak_order_study(cfg, dts, L2_SQUARED, n_paths=2048)
     ref = discrete_convolution_second_moment(cov, dts[-1], 64)
     ana_errors = []
     for lv in study.levels[:-1]:
@@ -263,7 +262,7 @@ def test_weak_order_levels_sorted_and_reference_excluded():
     cfg = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                    cov=noise.white(4))
     study = weak_order_study(cfg, [0.0625, 0.25, 0.125, 0.03125],
-                             EXP_NEG_L2SQ, horizon=1.0, n_paths=128)
+                             EXP_NEG_L2SQ, n_paths=128)
     assert [lv.dt for lv in study.levels] == [0.25, 0.125, 0.0625, 0.03125]
     if study.fit is not None:
         assert len(study.fit.points) <= 3
@@ -274,7 +273,7 @@ def test_weak_order_noise_dominated_flag():
     cfg = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                    cov=noise.white(4), seed=8)
     study = weak_order_study(cfg, [0.25, 0.125, 0.0625, 0.03125],
-                             BOUNDED_MODE1, horizon=1.0, n_paths=64)
+                             BOUNDED_MODE1, n_paths=64)
     assert study.noise_dominated
     assert study.fit is None
     assert all(lv.noise_dominated for lv in study.levels[:-1])
@@ -285,45 +284,39 @@ def test_weak_order_warns_on_rough_functional():
     cfg = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                    cov=noise.white(4))
     with pytest.warns(UserWarning, match="weak-rate guarantee"):
-        weak_order_study(cfg, [0.25, 0.125, 0.03125], L2_SQUARED,
-                         horizon=1.0, n_paths=32)
+        weak_order_study(cfg, [0.25, 0.125, 0.03125], L2_SQUARED, n_paths=32)
 
 
 def test_weak_order_validation():
     cfg = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                    cov=noise.white(4))
     with pytest.raises(ConfigurationError):
-        weak_order_study(cfg, [0.25, 0.125], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(cfg, [0.25, 0.125], EXP_NEG_L2SQ, 16)
     with pytest.raises(ConfigurationError):   # finest not 4x below coarsest
-        weak_order_study(cfg, [0.25, 0.2, 0.125], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(cfg, [0.25, 0.2, 0.125], EXP_NEG_L2SQ, 16)
     with pytest.raises(ConfigurationError):   # non-divisor of the horizon
-        weak_order_study(cfg, [0.3, 0.125, 0.0625], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(cfg, [0.3, 0.125, 0.0625], EXP_NEG_L2SQ, 16)
     with pytest.raises(ConfigurationError):   # non-nested levels
-        weak_order_study(cfg, [0.25, 0.1, 0.0625, 0.05], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(cfg, [0.25, 0.1, 0.0625, 0.05], EXP_NEG_L2SQ, 16)
     with pytest.raises(ConfigurationError):   # duplicates
-        weak_order_study(cfg, [0.25, 0.25, 0.0625], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(cfg, [0.25, 0.25, 0.0625], EXP_NEG_L2SQ, 16)
     for dts in ([0.25, 0.125, 0.0], [0.25, 0.125, -0.0625]):  # dt <= 0
         with pytest.raises(ConfigurationError):
-            weak_order_study(cfg, dts, EXP_NEG_L2SQ, 1.0, 16)
-    for horizon in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ConfigurationError):
-            weak_order_study(cfg, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ,
-                             horizon, 16)
+            weak_order_study(cfg, dts, EXP_NEG_L2SQ, 16)
     exact = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                      cov=noise.white(4), mode="exact")
     with pytest.raises(ConfigurationError):
-        weak_order_study(exact, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, 1.0, 16)
+        weak_order_study(exact, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, 16)
 
 
 # --- ergodic averages -----------------------------------------------------------
 
 def test_ergodic_average_hits_invariant_trace():
-    cfg = make_cfg(zero(), J=4, dt=0.1, taming=True, mode="exact", seed=10,
-                   x0=zero_field(4), cov=noise.white(4))
+    cfg = make_cfg(zero(), J=4, dt=0.1, n_steps=200, taming=True,
+                   mode="exact", seed=10, x0=zero_field(4), cov=noise.white(4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        study = ergodic_average(cfg, L2_SQUARED, burn_in=5.0, horizon=20.0,
-                                n_paths=256)
+        study = ergodic_average(cfg, L2_SQUARED, burn_in=5.0, n_paths=256)
     trace = float(linear_invariant_variance(0.0, noise.white(4)).sum())
     assert abs(study.ensemble.value - trace) < 4.0 * study.ensemble.std_error
     assert abs(study.time_average.value - trace) < 4.0 * study.time_average.std_error
@@ -333,15 +326,15 @@ def test_ergodic_average_hits_invariant_trace():
 
 def test_ergodic_validation():
     cfg = make_cfg(zero(), J=4, dt=0.1, x0=zero_field(4), cov=noise.white(4))
+    assert cfg.horizon == 2.0
     with pytest.raises(ConfigurationError):
-        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=2.0, horizon=2.0, n_paths=8)
+        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=2.0, n_paths=8)
     with pytest.raises(ConfigurationError):
-        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=-1.0, horizon=2.0, n_paths=8)
-    with pytest.raises(ConfigurationError):
-        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=0.5, horizon=2.05, n_paths=8)
-    with pytest.raises(ConfigurationError):
-        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=0.5, horizon=math.inf,
-                        n_paths=8)
+        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=-1.0, n_paths=8)
+    # below the horizon, but within the 1e-9 grid tolerance of its last
+    # state: no state lies after the burn-in
+    with pytest.raises(ConfigurationError, match="burn_in=.* no state"):
+        ergodic_average(cfg, EXP_NEG_L2SQ, burn_in=1.99999999999, n_paths=8)
 
 
 # --- contraction ------------------------------------------------------------------
@@ -350,8 +343,8 @@ def test_contraction_zero_drift_is_first_eigenvalue():
     # a pure mode-1 separation contracts by exactly exp(-lambda_1 dt) per
     # step, so every path fits the same rate to machine precision
     cfg = make_cfg(zero(), J=8, dt=0.05, n_steps=30, seed=2,
-                   x0=zero_field(8), cov=noise.white(8))
-    study = contraction_rate(cfg, unit_mode(8, 1), zero_field(8), n_paths=64)
+                   x0=unit_mode(8, 1), cov=noise.white(8))
+    study = contraction_rate(cfg, zero_field(8), n_paths=64)
     assert study.rate == pytest.approx(eigenvalue(1), rel=1e-9)
     assert study.ci_high - study.ci_low < 1e-9
     assert study.n_paths == 64
@@ -359,23 +352,24 @@ def test_contraction_zero_drift_is_first_eigenvalue():
 
 
 def test_contraction_dissipative_cubic_beats_linear_rate():
-    cfg = make_cfg(dissipative_cubic(1.0), J=8, dt=0.01, n_steps=100, seed=2)
-    study = contraction_rate(cfg, unit_mode(8, 1), zero_field(8), n_paths=64)
+    cfg = make_cfg(dissipative_cubic(1.0), J=8, dt=0.01, n_steps=100, seed=2,
+                   x0=unit_mode(8, 1))
+    study = contraction_rate(cfg, zero_field(8), n_paths=64)
     # drift slope bound gives at least lambda_1 + 1; noise pushes it higher
     assert study.ci_low > eigenvalue(1) + 1.0 - 0.05
     assert study.per_path_rates.shape == (64,)
 
 
 def test_contraction_validation():
-    cfg = make_cfg(zero(), J=4, x0=zero_field(4), cov=noise.white(4))
+    cfg = make_cfg(zero(), J=4, x0=unit_mode(4, 1), cov=noise.white(4))
     with pytest.raises(ConfigurationError):
-        contraction_rate(cfg, unit_mode(4, 1), unit_mode(4, 1), n_paths=8)
-    short = make_cfg(zero(), J=4, n_steps=1, x0=zero_field(4),
+        contraction_rate(cfg, unit_mode(4, 1), n_paths=8)
+    short = make_cfg(zero(), J=4, n_steps=1, x0=unit_mode(4, 1),
                      cov=noise.white(4))
     with pytest.raises(ConfigurationError):
-        contraction_rate(short, unit_mode(4, 1), zero_field(4), n_paths=8)
+        contraction_rate(short, zero_field(4), n_paths=8)
     with pytest.raises(ConfigurationError):
-        contraction_rate(cfg, unit_mode(5, 1), zero_field(4), n_paths=8)
+        contraction_rate(cfg, zero_field(5), n_paths=8)
 
 
 # --- taming headroom -----------------------------------------------------------------
@@ -419,9 +413,10 @@ def test_final_mode_statistics_validation():
 _STUDIES = {
     "moment-growth": lambda cfg: estimate_moment(cfg, 2, "l2", [0.15], 4),
     "weak-order": lambda cfg: weak_order_study(
-        cfg, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, horizon=0.5, n_paths=4),
-    "ergodic": lambda cfg: ergodic_average(cfg, EXP_NEG_L2SQ, 0.0, 0.15, 4),
-    "contraction": lambda cfg: contraction_rate(cfg, cfg.x0, zero_field(8), 4),
+        replace(cfg, n_steps=10), [0.25, 0.125, 0.0625], EXP_NEG_L2SQ,
+        n_paths=4),
+    "ergodic": lambda cfg: ergodic_average(cfg, EXP_NEG_L2SQ, 0.0, 4),
+    "contraction": lambda cfg: contraction_rate(cfg, zero_field(8), 4),
     "simulate": lambda cfg: path_norms(cfg, 4),
     "headroom": lambda cfg: taming_headroom(cfg, 4),
     "final-state": lambda cfg: final_mode_statistics(cfg, 4),
