@@ -4,10 +4,9 @@ scheme with closed-form Gaussian oracles for everything linear."""
 
 from .errors import (ConfigurationError, TamingBoundViolation,
                      TrajectoryOverflow)
-from .spectral import (GridField, SpectralField, analyze, apply_fractional,
-                       bump_profile, collocation_nodes, eigenvalue,
-                       eigenvalues, l2_norm, lp_norm, multi_mode, sup_norm,
-                       synthesize, unit_mode, zero_field)
+from .spectral import (SpectralField, bump_profile, collocation_nodes,
+                       eigenvalue, eigenvalues, multi_mode, unit_mode,
+                       zero_field)
 from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
                     explicit_covariance, power_decay, white)
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,

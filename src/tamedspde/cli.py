@@ -269,7 +269,10 @@ def run(cfg: ExperimentConfig) -> dict:
     written to manifest.json."""
     started = time.perf_counter()
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output.directory: {exc}") from None
 
     columns, rows, summary, extra = _EXPERIMENTS[cfg.experiment][0](cfg)
 

@@ -95,6 +95,13 @@ def _count(value) -> int:
     return n
 
 
+def _seed(value) -> int:
+    n = _int(value)
+    if not 0 <= n < 1 << 64:
+        raise ValueError(f"must be in [0, 2^64), got {n}")
+    return n
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"must be true or false, got {value!r}")
@@ -240,7 +247,7 @@ _DISCRETIZATION = {
     "noise_mode": ("increment", _text),
 }
 
-_SAMPLING = {"n_paths": (100, _count), "seed": (0, _int), "workers": (1, _count)}
+_SAMPLING = {"n_paths": (100, _count), "seed": (0, _seed), "workers": (1, _count)}
 
 _OUTPUT = {"directory": ("out", _text),
            "formats": (FORMATS, _list(_one_of(*FORMATS)))}

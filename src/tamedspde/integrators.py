@@ -79,8 +79,8 @@ class SchemeConfig:
                 f"dt={self.dt} must be in (0, dt_max={self.dt_max}]")
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.noise_mode not in _NOISE_MODES:
             raise ConfigurationError(
                 f"noise_mode must be one of {_NOISE_MODES}, got {self.noise_mode!r}")

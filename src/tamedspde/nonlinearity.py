@@ -13,11 +13,12 @@ estimates sup f' and the growth exponent numerically on a bounded window,
 which is the only honest claim sampling can make; the flags it reports are
 valid on that window and nowhere else.
 
-Pointwise evaluation on a spectral field goes through the node grid:
-synthesize, apply f at each node, project back.  For polynomial f of degree
-d this is exact (no aliasing) as soon as the node count is at least d times
-the mode count, since products of the first J sine modes stay below the
-grid's Nyquist index.
+Pointwise evaluation on a spectral field happens in ``Engine.step``:
+synthesize with ``Engine.basis``, apply f at each node, project back with
+its transpose and ``Engine.weight``.  For polynomial f of degree d this is
+exact (no aliasing) as soon as the node count is at least d times the mode
+count, since products of the first J sine modes stay below the grid's
+Nyquist index.
 """
 
 from __future__ import annotations

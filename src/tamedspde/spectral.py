@@ -2,15 +2,15 @@
 
 The basis functions are e_n(x) = sqrt(2) sin(n pi x) with eigenvalues
 lambda_n = (n pi)^2 for the operator d^2/dx^2 with zero boundary values.
-A field is represented either by its first J sine coefficients
-(:class:`SpectralField`) or by its values at the interior collocation nodes
-x_k = k / (M + 1), k = 1..M (:class:`GridField`).
+A field is represented by its first J sine coefficients
+(:class:`SpectralField`); the reaction is evaluated at the interior
+collocation nodes x_k = k / (M + 1), k = 1..M.
 
-With the node weight 1/(M+1) the discrete sine family is exactly orthonormal
-for modes up to M, so ``analyze(synthesize(a, M), J)`` returns ``a`` up to
-roundoff whenever J <= M.  Transforms are dense matrix products; at the mode
-counts used here (J <= 256) that is both fast and batch friendly, and nothing
-in the interface depends on how the transform is evaluated.
+The one transform is S = ``sine_matrix(J, M)``: ``S @ a`` synthesizes node
+values and ``S.T @ v`` times the node weight 1/(M+1) projects them back, the
+pair ``Engine.basis`` and ``Engine.weight``.  With this weight the discrete
+sine family is exactly orthonormal for modes up to M, so the pair returns
+``a`` up to roundoff whenever J <= M; at J <= 256 dense products are fast.
 
 Coefficient and value arrays may carry a trailing batch axis: shape (J,) is
 one field, (J, B) is a batch of B fields sharing operations elementwise.
@@ -65,16 +65,6 @@ def sine_matrix(n_modes: int, n_nodes: int) -> np.ndarray:
     return out
 
 
-def _check_coeff_array(a: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[0] < 1:
-        raise ConfigurationError(
-            f"{what} must have shape (n,) or (n, batch) with n >= 1, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigurationError(f"{what} must be finite")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """A field given by sine coefficients, shape (J,) or (J, batch)."""
@@ -82,25 +72,17 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _check_coeff_array(self.coeffs, "coeffs"))
+        a = np.asarray(self.coeffs, dtype=np.float64)
+        if a.ndim not in (1, 2) or a.shape[0] < 1:
+            raise ConfigurationError(
+                f"coeffs must have shape (n,) or (n, batch) with n >= 1, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ConfigurationError("coeffs must be finite")
+        object.__setattr__(self, "coeffs", a)
 
     @property
     def n_modes(self) -> int:
         return self.coeffs.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """A field given by values at the interior collocation nodes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_coeff_array(self.values, "values"))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
 
 
 def zero_field(n_modes: int) -> SpectralField:
@@ -135,28 +117,13 @@ def bump_profile(n_modes: int, n_nodes: int, center: float = 0.5,
         raise ConfigurationError(f"center must be in (0, 1), got {center}")
     if width <= 0:
         raise ConfigurationError(f"width must be > 0, got {width}")
+    if n_modes > n_nodes:
+        raise ConfigurationError(
+            f"n_modes={n_modes} must be <= n_nodes={n_nodes}")
     x = collocation_nodes(n_nodes)
     values = amplitude * np.exp(-(((x - center) / width) ** 2))
-    return analyze(GridField(values), n_modes)
-
-
-def synthesize(field: SpectralField, n_nodes: int) -> GridField:
-    """Evaluate a spectral field at n_nodes interior nodes (n_nodes >= J)."""
-    j = field.n_modes
-    if n_nodes < j:
-        raise ConfigurationError(
-            f"n_nodes={n_nodes} must be >= n_modes={j} to keep modes distinguishable")
-    return GridField(sine_matrix(j, n_nodes) @ field.coeffs)
-
-
-def analyze(grid: GridField, n_modes: int) -> SpectralField:
-    """Project node values onto the first n_modes sine modes (n_modes <= M)."""
-    m = grid.n_nodes
-    if n_modes > m:
-        raise ConfigurationError(
-            f"n_modes={n_modes} must be <= n_nodes={m}")
-    coeffs = (sine_matrix(n_modes, m).T @ grid.values) / (m + 1)
-    return SpectralField(coeffs)
+    return SpectralField((sine_matrix(n_modes, n_nodes).T @ values)
+                         / (n_nodes + 1))
 
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:
@@ -177,31 +144,3 @@ def phi1_factors(n_modes: int, dt: float) -> np.ndarray:
     lam = eigenvalues(n_modes)
     return -np.expm1(-lam * dt) / lam
 
-
-def apply_fractional(field: SpectralField, exponent: float) -> SpectralField:
-    """Multiply each coefficient by lambda_n ** exponent, exponent in [-1, 1]."""
-    if not -1.0 <= exponent <= 1.0:
-        raise ConfigurationError(
-            f"fractional exponent must be in [-1, 1], got {exponent}")
-    factors = eigenvalues(field.n_modes) ** exponent
-    if field.coeffs.ndim == 2:
-        factors = factors[:, None]
-    return SpectralField(factors * field.coeffs)
-
-
-def l2_norm(field: SpectralField):
-    """L2 norm on (0, 1) via Parseval; per-field array for batched input."""
-    return np.sqrt((field.coeffs * field.coeffs).sum(axis=0))
-
-
-def lp_norm(grid: GridField, p: float):
-    """Node-quadrature Lp norm, ((1/(M+1)) sum |v_k|^p)^(1/p), p >= 1."""
-    if p < 1:
-        raise ConfigurationError(f"p must be >= 1, got {p}")
-    weight = 1.0 / (grid.n_nodes + 1)
-    return (weight * (np.abs(grid.values) ** p).sum(axis=0)) ** (1.0 / p)
-
-
-def sup_norm(grid: GridField):
-    """Max of |values| over the nodes; a lower bound for the true sup norm."""
-    return np.abs(grid.values).max(axis=0)

@@ -10,8 +10,7 @@ import numpy as np
 
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.nonlinearity import Nonlinearity
-from tamedspde.spectral import (GridField, SpectralField, analyze, lp_norm,
-                                synthesize)
+from tamedspde.spectral import SpectralField, sine_matrix
 
 
 def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,
@@ -27,7 +26,8 @@ def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,
 def _node_values(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> np.ndarray:
     # overflow is detected by the isfinite check below, not by the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(nl.f(synthesize(x, n_nodes).values), dtype=np.float64)
+        fx = np.asarray(nl.f(sine_matrix(x.n_modes, n_nodes) @ x.coeffs),
+                        dtype=np.float64)
     if not np.all(np.isfinite(fx)):
         raise TrajectoryOverflow(
             f"{nl.name} produced non-finite node values")
@@ -37,16 +37,21 @@ def _node_values(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> np.ndarray
 def apply_nemytskii(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> SpectralField:
     """Coefficients of f(x(.)) truncated to x's mode count.
 
-    Evaluation is pseudo-spectral: synthesize to n_nodes interior nodes,
-    apply f pointwise, project back.  Non-finite values raise
+    Evaluation is pseudo-spectral, in the engine's form: synthesize to
+    n_nodes interior nodes, apply f pointwise, project back with S.T times
+    the node weight 1/(n_nodes + 1).  Non-finite values raise
     TrajectoryOverflow rather than propagating NaN.
     """
-    return analyze(GridField(_node_values(x, nl, n_nodes)), x.n_modes)
+    fx = _node_values(x, nl, n_nodes)
+    return SpectralField((sine_matrix(x.n_modes, n_nodes).T @ fx)
+                         * (1.0 / (n_nodes + 1)))
 
 
 def drift_norm(x: SpectralField, nl: Nonlinearity, n_nodes: int):
-    """Node-quadrature L2 norm of f(x(.)), the taming denominator input."""
-    return lp_norm(GridField(_node_values(x, nl, n_nodes)), 2.0)
+    """Node-quadrature L2 norm of f(x(.)), the taming denominator input,
+    summed and then weighted as the engine does."""
+    fx = _node_values(x, nl, n_nodes)
+    return np.sqrt((fx * fx).sum(axis=0) * (1.0 / (n_nodes + 1)))
 
 
 def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarray:

@@ -208,6 +208,28 @@ def test_empty_ergodic_window_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "ergodic.csv").exists()
 
 
+def test_seed_flag_takes_the_uint64_range(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", cfg, "--seed", str(2 ** 64 - 1),
+                     "--out", str(tmp_path / "top")]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--seed", str(2 ** 64),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: sampling.seed: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: output.directory: ")
+
+
 # A cost-curve step count that leaves the float range, because dt
 # underflows to 0 or the horizon's power overflows, is a configuration
 # error naming its eps: exit 2, not a traceback.
@@ -526,6 +548,10 @@ _MALFORMED = [
     ("simulate", {"sampling": {"n_paths": 3, "seed": True}}, "sampling.seed"),
     ("simulate", {"model": {"nonlinearity": {"name": "linear", "c": True},
                             "covariance": "white"}}, "model.nonlinearity.c"),
+    # a seed is a uint64: 2^64 + 3 would alias seed 3 under another hash
+    ("simulate", {"sampling": {"n_paths": 3, "seed": 2 ** 64 + 3}},
+     "sampling.seed"),
+    ("simulate", {"sampling": {"n_paths": 3, "seed": -1}}, "sampling.seed"),
 ]
 
 

@@ -1,7 +1,8 @@
 """One-step maps and the trajectory driver against hand-assembled updates.
 
 ``manual_step`` below rebuilds both schemes from the primitive pieces
-(semigroup factors, pseudo-spectral lift, taming quotient) with the exact
+(semigroup factors, the reference pseudo-spectral lift and taming norm that
+test_nonlinearity holds to quadrature, the taming quotient) with the exact
 expression grouping the engine promises, so agreement is asserted bitwise,
 not within a tolerance.  Everything downstream (records, coupled pairs,
 blow-up handling) is checked against that oracle or against closed-form
@@ -27,25 +28,22 @@ from tamedspde.nonlinearity import (allen_cahn, dissipative_cubic, linear,
                                     polynomial, zero)
 from tamedspde.spectral import SpectralField, unit_mode
 
-from reference import drift_norm, step_discrete_convolution
+from reference import apply_nemytskii, drift_norm, step_discrete_convolution
 
 
 def manual_step(cfg, x, noise_term):
     """The scheme update spelled out from primitives, grouping included."""
     decay = spectral.semigroup_factors(cfg.n_modes, cfg.dt)
     gain = spectral.phi1_factors(cfg.n_modes, cfg.dt)
-    basis = spectral.sine_matrix(cfg.n_modes, cfg.n_nodes)
-    weight = 1.0 / (cfg.n_nodes + 1)
     if x.ndim == 2:
         decay, gain = decay[:, None], gain[:, None]
     if cfg.nl.name == "zero":
         if cfg.noise_mode == "increment":
             return decay * (x + noise_term)
         return decay * x + noise_term
-    fx = cfg.nl.f(basis @ x)
-    coeffs = (basis.T @ fx) * weight
+    coeffs = apply_nemytskii(SpectralField(x), cfg.nl, cfg.n_nodes).coeffs
     if cfg.taming:
-        norm = np.sqrt((fx * fx).sum(axis=0) * weight)
+        norm = drift_norm(SpectralField(x), cfg.nl, cfg.n_nodes)
         drift = gain * coeffs / (1.0 + cfg.dt * norm)
         if cfg.noise_mode == "increment":
             return decay * (x + noise_term) + drift
@@ -406,6 +404,9 @@ def test_config_rejects_bad_fields():
         SchemeConfig(**{**ok, "n_steps": -1})
     with pytest.raises(ConfigurationError):
         SchemeConfig(**{**ok, "seed": -1})
+    with pytest.raises(ConfigurationError):
+        SchemeConfig(**{**ok, "seed": 2 ** 64})
+    SchemeConfig(**{**ok, "seed": 2 ** 64 - 1})
     with pytest.raises(ConfigurationError):
         SchemeConfig(**{**ok, "noise_mode": "euler"})
     with pytest.raises(ConfigurationError):

@@ -12,8 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedspde import spectral
+from tamedspde import noise, spectral
 from tamedspde.errors import ConfigurationError
+from tamedspde.estimators import _state_norm
+from tamedspde.integrators import Engine, SchemeConfig
+from tamedspde.nonlinearity import linear, zero
+
+from reference import drift_norm
 
 PI2 = math.pi ** 2
 
@@ -37,41 +42,49 @@ def test_eigenvalues_increasing():
     assert np.all(np.diff(lam) > 0)
 
 
-# --- synthesize / analyze --------------------------------------------------
+# --- the engine's transform pair -------------------------------------------
+
+def engine(n_modes, n_nodes):
+    """An Engine on this grid; its basis and weight are the pair step() runs."""
+    return Engine(SchemeConfig(n_modes=n_modes, n_nodes=n_nodes, dt=0.1,
+                               n_steps=0, cov=noise.white(n_modes), nl=zero(),
+                               x0=spectral.zero_field(n_modes)))
+
 
 def test_synthesize_first_mode_three_nodes():
     # sqrt(2) sin(pi k/4), k=1..3 -> (1, sqrt 2, 1)
-    grid = spectral.synthesize(spectral.unit_mode(1, 1), 3)
-    assert grid.values == pytest.approx([1.0, math.sqrt(2.0), 1.0], rel=1e-14)
+    values = engine(1, 3).basis @ spectral.unit_mode(1, 1).coeffs
+    assert values == pytest.approx([1.0, math.sqrt(2.0), 1.0], rel=1e-14)
 
 
 def test_synthesize_zero_field():
-    grid = spectral.synthesize(spectral.zero_field(4), 16)
-    assert np.all(grid.values == 0.0)
+    assert np.all(engine(4, 16).basis @ spectral.zero_field(4).coeffs == 0.0)
 
 
 def test_synthesize_top_mode_is_pure_sine():
     j = 6
-    grid = spectral.synthesize(spectral.unit_mode(j, j), 25)
     x = spectral.collocation_nodes(25)
-    assert grid.values == pytest.approx(np.sqrt(2) * np.sin(j * np.pi * x), rel=1e-13)
+    values = engine(j, 25).basis @ spectral.unit_mode(j, j).coeffs
+    assert values == pytest.approx(np.sqrt(2) * np.sin(j * np.pi * x), rel=1e-13)
 
 
 def test_synthesize_rejects_too_few_nodes():
     with pytest.raises(ConfigurationError):
-        spectral.synthesize(spectral.zero_field(8), 7)
+        engine(8, 7)
 
 
 def test_analyze_pure_sine_grid():
     x = spectral.collocation_nodes(15)
-    field = spectral.analyze(spectral.GridField(np.sqrt(2) * np.sin(np.pi * x)), 4)
-    assert abs(field.coeffs[0] - 1.0) <= 1e-12
-    assert np.all(np.abs(field.coeffs[1:]) <= 1e-12)
+    e = engine(4, 15)
+    coeffs = (e.basis.T @ (np.sqrt(2) * np.sin(np.pi * x))) * e.weight
+    assert abs(coeffs[0] - 1.0) <= 1e-12
+    assert np.all(np.abs(coeffs[1:]) <= 1e-12)
 
 
 def test_analyze_rejects_too_many_modes():
+    # the one projection outside the engine
     with pytest.raises(ConfigurationError):
-        spectral.analyze(spectral.GridField(np.ones(7)), 8)
+        spectral.bump_profile(8, 7)
 
 
 @settings(max_examples=40)
@@ -79,17 +92,19 @@ def test_analyze_rejects_too_many_modes():
        seed=st.integers(0, 1000))
 def test_roundtrip_exact(j, extra, seed):
     a = np.random.default_rng(seed).standard_normal(j)
-    back = spectral.analyze(spectral.synthesize(spectral.SpectralField(a), j + extra), j)
-    assert np.max(np.abs(back.coeffs - a)) <= 1e-12
+    e = engine(j, j + extra)
+    back = (e.basis.T @ (e.basis @ a)) * e.weight
+    assert np.max(np.abs(back - a)) <= 1e-12
 
 
 def test_roundtrip_batched():
     a = np.random.default_rng(0).standard_normal((12, 5))
-    back = spectral.analyze(spectral.synthesize(spectral.SpectralField(a), 48), 12)
-    assert np.max(np.abs(back.coeffs - a)) <= 1e-12
+    e = engine(12, 48)
+    back = (e.basis.T @ (e.basis @ a)) * e.weight
+    assert np.max(np.abs(back - a)) <= 1e-12
 
 
-# --- semigroup, phi1, fractional powers ------------------------------------
+# --- semigroup and phi1 ----------------------------------------------------
 
 def test_semigroup_identity_at_zero():
     assert np.array_equal(spectral.semigroup_factors(8, 0.0), np.ones(8))
@@ -110,12 +125,11 @@ def test_semigroup_l2_contraction():
     f = spectral.SpectralField(rng.standard_normal(16))
     t = 0.03
     decay = spectral.semigroup_factors(16, t)
-    out = spectral.SpectralField(decay * f.coeffs)
-    assert spectral.l2_norm(out) <= math.exp(-PI2 * t) * spectral.l2_norm(f)
+    l2 = lambda c: math.sqrt((c * c).sum())
+    assert l2(decay * f.coeffs) <= math.exp(-PI2 * t) * l2(f.coeffs)
     # equality when only the first mode is populated
-    one = spectral.SpectralField(decay * spectral.unit_mode(16, 1, 2.5).coeffs)
-    assert spectral.l2_norm(one) == pytest.approx(
-        math.exp(-PI2 * t) * 2.5, rel=1e-14)
+    one = decay * spectral.unit_mode(16, 1, 2.5).coeffs
+    assert l2(one) == pytest.approx(math.exp(-PI2 * t) * 2.5, rel=1e-14)
 
 
 @given(s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
@@ -158,43 +172,23 @@ def test_phi1_matches_semigroup_integral():
             assert factor == pytest.approx(quad, rel=tol)
 
 
-def test_fractional_identity_and_inverse():
-    f = spectral.SpectralField(np.random.default_rng(1).standard_normal(10))
-    assert np.array_equal(spectral.apply_fractional(f, 0.0).coeffs, f.coeffs)
-    back = spectral.apply_fractional(spectral.apply_fractional(f, 0.7), -0.7)
-    assert np.allclose(back.coeffs, f.coeffs, rtol=1e-12)
-
-
-def test_fractional_mode2_sqrt():
-    out = spectral.apply_fractional(spectral.unit_mode(2, 2), 0.5)
-    assert out.coeffs[1] == pytest.approx(6.283185307179586, rel=1e-15)
-
-
-def test_fractional_rejects_large_exponent():
-    with pytest.raises(ConfigurationError):
-        spectral.apply_fractional(spectral.zero_field(2), 1.5)
-
-
 # --- norms ------------------------------------------------------------------
 
 def test_l2_norm_pythagoras():
-    assert spectral.l2_norm(spectral.SpectralField(np.array([3.0, 4.0]))) == 5.0
+    # the norm the simulate and moment-growth "l2" columns print
+    assert _state_norm("l2", np.array([3.0, 4.0]), engine(2, 8)) == 5.0
 
 
 def test_lp_norm_of_first_mode_grid():
-    grid = spectral.synthesize(spectral.unit_mode(1, 1), 63)
-    assert abs(spectral.lp_norm(grid, 2) - 1.0) <= 1e-10
+    # the taming norm's node quadrature: ||e_1||_{L2} = 1
+    got = drift_norm(spectral.unit_mode(1, 1), linear(1.0), 63)
+    assert abs(got - 1.0) <= 1e-10
 
 
 def test_sup_norm_of_first_mode_grid():
     # M odd puts a node exactly at x = 1/2 where sqrt(2) sin(pi x) peaks
-    grid = spectral.synthesize(spectral.unit_mode(1, 1), 63)
-    assert spectral.sup_norm(grid) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_lp_norm_rejects_p_below_one():
-    with pytest.raises(ConfigurationError):
-        spectral.lp_norm(spectral.GridField(np.ones(4)), 0.5)
+    got = _state_norm("sup", spectral.unit_mode(1, 1).coeffs, engine(1, 63))
+    assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 # --- operator inequalities on grids of modes and times ----------------------
@@ -240,8 +234,7 @@ def test_multi_mode_requires_summable_rate():
 
 def test_bump_profile_roughly_centered():
     f = spectral.bump_profile(32, 128, center=0.5, width=0.1, amplitude=1.0)
-    grid = spectral.synthesize(f, 129)  # odd -> node at 1/2
-    values = grid.values
+    values = engine(32, 129).basis @ f.coeffs  # odd M -> node at 1/2
     mid = values[64]
     assert mid == pytest.approx(1.0, abs=0.02)
     assert abs(values[0]) < 0.01 and abs(values[-1]) < 0.01
@@ -250,7 +243,5 @@ def test_bump_profile_roughly_centered():
 def test_fields_reject_non_finite():
     with pytest.raises(ConfigurationError):
         spectral.SpectralField(np.array([1.0, np.nan]))
-    with pytest.raises(ConfigurationError):
-        spectral.GridField(np.array([np.inf]))
     with pytest.raises(ConfigurationError):
         spectral.SpectralField(np.zeros((2, 2, 2)))
