@@ -12,9 +12,7 @@ from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,
                            audit_assumptions, dissipative_cubic, linear,
                            polynomial, zero)
-from .gaussian_oracle import (ModeGaussian, convolution_second_moment_exact,
-                              convolution_weak_error_curve,
-                              discrete_convolution_second_moment,
+from .gaussian_oracle import (ModeGaussian, convolution_weak_error_curve,
                               linear_invariant_variance, linear_scheme_law,
                               linear_stationary_variance)
 from .integrators import Engine, PathBatch, SchemeConfig, evolve

@@ -167,6 +167,8 @@ def _run_contraction(cfg: ExperimentConfig):
 
 def _run_cost_curve(cfg: ExperimentConfig):
     p = cfg.params
+    if not p["eps_list"]:
+        raise ConfigurationError("params.eps_list: needs at least one eps")
     curve = cost_curve(p["alpha"], p["regularity"], p["horizon_power"],
                        p["eps_list"], p["horizon_scale"], p["accuracy_scale"])
     rows = [(pt.eps, pt.horizon, pt.dt, pt.n_steps, pt.bound_product)
@@ -264,6 +266,13 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(config_json.encode()).hexdigest()
 
 
+def _refuse_non_files(out_dir: Path, names) -> None:
+    # called before anything is written, so a blocked artifact path exits 2
+    for path in (out_dir / name for name in names):
+        if path.exists() and not path.is_file():
+            raise ConfigurationError(f"output.directory: {path} is not a file")
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one experiment, write its artifacts, and return the manifest
     written to manifest.json."""
@@ -273,8 +282,11 @@ def run(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"output.directory: {exc}") from None
+    _refuse_non_files(out_dir, ["manifest.json"] + [
+        f"{cfg.experiment}.{'gp' if fmt == 'gnuplot' else fmt}" for fmt in cfg.formats])
 
     columns, rows, summary, extra = _EXPERIMENTS[cfg.experiment][0](cfg)
+    _refuse_non_files(out_dir, extra if "json" in cfg.formats else [])
 
     outputs = []
     if "csv" in cfg.formats:

@@ -12,13 +12,15 @@ random numbers; repeated calls are bitwise identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .noise import CovarianceSpec, discrete_convolution_variance
-from .spectral import eigenvalues
+from .integrators import SchemeConfig, whole_steps
+from .noise import CovarianceSpec
+from .nonlinearity import zero
+from .spectral import eigenvalues, zero_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,59 +48,42 @@ class ModeGaussian:
         return float((self.mean * self.mean + self.variance).sum())
 
 
-def convolution_second_moment_exact(cov: CovarianceSpec, t: float) -> float:
-    """E of the squared L2 norm of the stochastic convolution at time t.
-
-    Per mode the convolution is an Ornstein-Uhlenbeck integral with variance
-    q (1 - exp(-2 lambda t)) / (2 lambda).
-    """
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    lam = eigenvalues(cov.n_modes)
-    return float((cov.mode_weights * (-np.expm1(-2.0 * lam * t)) / (2.0 * lam)).sum())
-
-
-def discrete_convolution_second_moment(cov: CovarianceSpec, dt: float,
-                                       n_steps: int) -> float:
-    """E of the squared L2 norm of the zero-drift scheme after n_steps."""
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
-    if n_steps == 0:
-        return 0.0
-    return float(discrete_convolution_variance(cov, dt, n_steps).sum())
-
-
 def convolution_weak_error_curve(cov: CovarianceSpec, t_fix: float,
                                  dt_list) -> list[tuple[float, float]]:
     """Analytic weak error of the squared-norm functional at a fixed time.
 
-    For each dt (which must divide t_fix exactly) the entry is
-    (dt, |discrete second moment at t_fix - exact second moment at t_fix|).
-    No sampling is involved.
+    From a zero start with zero drift, increment mode is the discrete
+    stochastic convolution and exact mode is the continuous one sampled on
+    the grid.  For each dt (a whole number of steps into t_fix) the entry is
+    (dt, |E |X|^2 of the one law - E |X|^2 of the other| at t_fix).  No
+    sampling is involved.
     """
-    if t_fix <= 0:
-        raise ConfigurationError(f"t_fix must be > 0, got {t_fix}")
-    exact = convolution_second_moment_exact(cov, t_fix)
     curve = []
     for dt in dt_list:
         dt = float(dt)
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be > 0, got {dt}")
-        n = round(t_fix / dt)
-        if n < 1 or abs(n * dt - t_fix) > 1e-12 * t_fix:
-            raise ConfigurationError(
-                f"dt={dt} does not divide t_fix={t_fix} into whole steps")
-        curve.append((dt, abs(discrete_convolution_second_moment(cov, dt, n) - exact)))
+        cfg = SchemeConfig(n_modes=cov.n_modes, n_nodes=cov.n_modes, dt=dt,
+                           n_steps=whole_steps(t_fix, dt), cov=cov, nl=zero(),
+                           x0=zero_field(cov.n_modes), taming=False, dt_max=dt)
+        moments = [linear_scheme_law(replace(cfg, noise_mode=mode)).l2_second_moment
+                   for mode in ("increment", "exact")]
+        curve.append((dt, abs(moments[0] - moments[1])))
     return curve
 
 
-def _step_factors(c: float, cfg):
+def _step_factors(cfg):
     """Per-mode propagation factor a and per-step noise variance w.
 
-    Increment-mode noise is decayed together with the state, exact-mode
-    noise is added after the decay with the stationary one-step variance;
-    the factors below mirror integrators.Engine step for step.
+    The drift must be f(z) = -c z: c is 0 for the zero reaction and
+    -sup f' for the linear one.  Increment-mode noise is decayed together
+    with the state, exact-mode noise is added after the decay with the
+    stationary one-step variance; the factors below mirror
+    integrators.Engine step for step.
     """
+    if cfg.nl.name not in ("zero", "linear"):
+        raise ConfigurationError(
+            f"the closed-form law needs a zero or linear reaction, "
+            f"got {cfg.nl.name!r}")
+    c = -cfg.nl.sup_fprime
     lam = eigenvalues(cfg.cov.n_modes)
     decay = np.exp(-lam * cfg.dt)
     a = decay * (1.0 - c * cfg.dt)
@@ -109,38 +94,34 @@ def _step_factors(c: float, cfg):
     return a, w
 
 
-def linear_scheme_law(c: float, cfg, n_steps: int) -> ModeGaussian:
-    """Exact law of the untamed scheme with drift f(z) = -c z after n_steps.
+def linear_scheme_law(cfg) -> ModeGaussian:
+    """Exact law of the untamed scheme after cfg.n_steps steps from cfg.x0.
 
-    cfg is a scheme configuration (taming off, starting state cfg.x0).  The
-    per-mode recursion mean <- a mean, var <- a^2 var + w has the closed
-    form below; no simulation happens here.
+    cfg's reaction must be zero or linear, f(z) = -c z.  The per-mode
+    recursion mean <- a mean, var <- a^2 var + w has the closed form below;
+    no simulation happens here.
     """
-    if c < 0:
-        raise ConfigurationError(f"linear coefficient must be >= 0, got {c}")
     if cfg.taming:
         raise ConfigurationError(
             "linear_scheme_law covers the untamed scheme only; the tamed "
             "update is not an affine map of Gaussians")
-    if n_steps < 0:
-        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
-
-    a, w = _step_factors(c, cfg)
+    a, w = _step_factors(cfg)
     x0 = cfg.x0.coeffs
     if x0.ndim != 1:
         raise ConfigurationError("linear_scheme_law needs an unbatched x0")
-    mean = a ** n_steps * x0
+    n = cfg.n_steps
+    mean = a ** n * x0
     a2 = a * a
     # geometric sum of w a^{2k}, k = 0..n-1; a^2 = 1 exactly degenerates to n terms
     flat = a2 == 1.0
-    var = np.where(flat, w * n_steps,
-                   w * (1.0 - a2 ** n_steps) / np.where(flat, 1.0, 1.0 - a2))
+    var = np.where(flat, w * n,
+                   w * (1.0 - a2 ** n) / np.where(flat, 1.0, 1.0 - a2))
     return ModeGaussian(mean=mean, variance=var)
 
 
-def linear_stationary_variance(c: float, cfg) -> np.ndarray:
+def linear_stationary_variance(cfg) -> np.ndarray:
     """Fixed point of the scheme's per-mode variance recursion, when stable."""
-    a, w = _step_factors(c, cfg)
+    a, w = _step_factors(cfg)
     a2 = a * a
     if np.any(a2 >= 1.0):
         raise ConfigurationError(

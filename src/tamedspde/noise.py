@@ -123,15 +123,3 @@ def stationary_step_scale(spec: CovarianceSpec, dt: float) -> np.ndarray:
     lam = eigenvalues(spec.n_modes)
     return np.sqrt(spec.mode_weights * (-np.expm1(-2.0 * lam * dt)) / (2.0 * lam))
 
-
-def discrete_convolution_variance(spec: CovarianceSpec, dt: float,
-                                  n_steps: int) -> np.ndarray:
-    """Per-mode variance of the discrete convolution after n_steps from zero.
-
-    Geometric sum of q dt exp(-2 lambda dt k), k = 1..n_steps.
-    """
-    if n_steps < 0:
-        raise ConfigurationError(f"n_steps must be >= 0, got {n_steps}")
-    lam = eigenvalues(spec.n_modes)
-    r = np.exp(-2.0 * lam * dt)
-    return spec.mode_weights * dt * r * (1.0 - r ** n_steps) / (1.0 - r)

@@ -106,7 +106,7 @@ def test_linear_scheme_matches_gaussian_law():
     cfg = SchemeConfig(n_modes=16, n_nodes=64, dt=0.05, n_steps=100,
                        cov=noise.white(16), nl=linear(1.0),
                        x0=spectral.unit_mode(16, 1), seed=0, taming=False)
-    law = linear_scheme_law(1.0, cfg, cfg.n_steps)
+    law = linear_scheme_law(cfg)
     stats = final_mode_statistics(cfg, 10_000)
     z_mean = float(np.max(np.abs(stats.mean - law.mean) / stats.mean_std_error))
     z_var = float(np.max(

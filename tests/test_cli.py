@@ -230,6 +230,17 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
             "configuration error: output.directory: ")
 
 
+def test_directory_at_artifact_path_exits_2_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "simulate.csv").mkdir(parents=True)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output.directory: "), err
+    assert "simulate.csv" in err
+    assert sorted(p.name for p in out.iterdir()) == ["simulate.csv"]
+
+
 # A cost-curve step count that leaves the float range, because dt
 # underflows to 0 or the horizon's power overflows, is a configuration
 # error naming its eps: exit 2, not a traceback.
@@ -241,6 +252,7 @@ _OUT_OF_RANGE = [
                  "eps_list": [0.5, 9.5367431640625e-07]}},
      "eps=9.5367431640625e-07"),
     ({"params": {"alpha": 0.1, "horizon_scale": 1.0e+300}}, "eps=0.0625"),
+    ({"params": {"alpha": 0.1, "eps_list": []}}, "params.eps_list"),
 ]
 
 
@@ -473,6 +485,21 @@ _SHIPPED = {
         "params": {"power": 2, "norm": "l2",
                    "checkpoints": [5.0, 25.0, 50.0]},
     }, "58de38cedb87e9ae066b961fda68c530c026fef327bcb8bc94183e40e36e927a"),
+    "blowup_tamed": ({
+        "experiment": "moment-growth",
+        "model": {"nonlinearity": {"name": "polynomial",
+                                   "coeffs": [0.0, 0.0, 0.0, -1.0]},
+                  "covariance": {"kind": "white"},
+                  "x0": {"kind": "unit_mode", "mode": 1, "amplitude": 10.0},
+                  "n_modes": 16, "n_nodes": 64},
+        "discretization": {"dt": 0.25, "n_steps": 200, "dt_max": 0.5,
+                           "taming": True, "noise_mode": "increment"},
+        "sampling": {"n_paths": 100, "seed": 0, "workers": 1},
+        "output": {"directory": "out/blowup_tamed",
+                   "formats": ["csv", "json", "gnuplot"]},
+        "params": {"power": 2, "norm": "l2",
+                   "checkpoints": [5.0, 25.0, 50.0]},
+    }, "05cbad331e2549e218c4e879f701f86dca7dc7f479cef42aee44a060f9a6096d"),
     "ergodic": ({
         "experiment": "ergodic",
         "model": {"nonlinearity": {"name": "linear", "c": 1.0},
@@ -510,6 +537,20 @@ def test_shipped_configs_resolve_to_pinned_values(name):
     cfg = cli.parse_config(str(configs / f"{name}.yaml"))
     assert cfg.resolved == resolved
     assert cli._config_hash(cfg.resolved) == config_hash
+
+
+def test_taming_keeps_the_blowup_paths_finite(tmp_path):
+    # the two shipped blow-up configs differ only in taming: on the same
+    # draws every untamed path blows up and every tamed one stays finite
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    fractions = {}
+    for name in ("blowup", "blowup_tamed"):
+        out = tmp_path / name
+        assert cli.main(["moment-growth", "--config",
+                         str(configs / f"{name}.yaml"), "--out", str(out)]) == 0
+        summary = json.loads((out / "moment-growth.json").read_text())
+        fractions[name] = summary["blowup_fraction"]
+    assert fractions == {"blowup": 1.0, "blowup_tamed": 0.0}
 
 
 # (experiment, sections over write_config's base, the key the error names)

@@ -23,8 +23,7 @@ from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNC
                                   final_mode_statistics, fit_rate,
                                   path_norms, taming_headroom,
                                   weak_order_study)
-from tamedspde.gaussian_oracle import (discrete_convolution_second_moment,
-                                       linear_invariant_variance,
+from tamedspde.gaussian_oracle import (linear_invariant_variance,
                                        linear_scheme_law)
 from tamedspde.integrators import PathBatch, SchemeConfig
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
@@ -106,7 +105,8 @@ def test_moment_matches_linear_scheme_law():
                             n_paths=2000)
     assert study.blowup_fraction == 0.0
     for est, n in zip(study.estimates, (10, 20)):
-        want = math.sqrt(linear_scheme_law(1.0, cfg, n).l2_second_moment)
+        want = math.sqrt(
+            linear_scheme_law(replace(cfg, n_steps=n)).l2_second_moment)
         assert abs(est.value - want) < 4.0 * est.std_error
     assert study.checkpoints == (0.5, 1.0)
     assert study.norm == "l2" and study.power == 2
@@ -245,10 +245,14 @@ def test_weak_order_matches_analytic_self_curve():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         study = weak_order_study(cfg, dts, L2_SQUARED, n_paths=2048)
-    ref = discrete_convolution_second_moment(cov, dts[-1], 64)
+    def second_moment(dt, n_steps):
+        return linear_scheme_law(
+            replace(cfg, dt=dt, n_steps=n_steps)).l2_second_moment
+
+    ref = second_moment(dts[-1], 64)
     ana_errors = []
     for lv in study.levels[:-1]:
-        ana = abs(discrete_convolution_second_moment(cov, lv.dt, lv.n_steps) - ref)
+        ana = abs(second_moment(lv.dt, lv.n_steps) - ref)
         assert abs(lv.error - ana) < 4.0 * lv.error_std_error
         ana_errors.append(ana)
     ana_fit = fit_rate([lv.dt for lv in study.levels[:-1]], ana_errors)
@@ -395,7 +399,7 @@ def test_final_mode_statistics_match_gaussian_law():
                    x0=unit_mode(4, 1, 2.0), cov=noise.white(4))
     stats = final_mode_statistics(cfg, n_paths=4000)
     mean_want = semigroup_factors(4, 0.05) ** 10 * cfg.x0.coeffs
-    var_want = noise.discrete_convolution_variance(noise.white(4), 0.05, 10)
+    var_want = linear_scheme_law(cfg).variance
     assert np.all(np.abs(stats.mean - mean_want) < 4.0 * stats.mean_std_error)
     assert np.all(np.abs(stats.variance - var_want)
                   < 4.0 * stats.variance_std_error)

@@ -2,9 +2,10 @@
 recursion.
 
 The explicit geometric-sum loop in ``variance_by_summation`` is the oracle
-for the closed-form variance of the discrete convolution; the Monte Carlo
-check at the bottom ties the whole chain (stream -> increment -> step map)
-to that same formula.
+for the variance of the discrete convolution, which is the zero-drift
+increment-mode law ``linear_scheme_law`` gives in closed form; the Monte
+Carlo check at the bottom ties the whole chain (stream -> increment -> step
+map) to that same law.
 """
 
 import math
@@ -16,11 +17,20 @@ from hypothesis import strategies as st
 
 from tamedspde import noise, rng
 from tamedspde.errors import ConfigurationError
+from tamedspde.gaussian_oracle import linear_scheme_law
 from tamedspde.integrators import PathBatch, SchemeConfig, evolve
 from tamedspde.nonlinearity import zero
 from tamedspde.spectral import eigenvalue, eigenvalues, zero_field
 
 from reference import step_discrete_convolution
+
+
+def convolution_variance(spec, dt, n_steps):
+    """Per-mode variance of the discrete convolution after n_steps from zero."""
+    J = spec.n_modes
+    cfg = SchemeConfig(n_modes=J, n_nodes=J, dt=dt, n_steps=n_steps, cov=spec,
+                       nl=zero(), x0=zero_field(J), taming=False)
+    return linear_scheme_law(cfg).variance
 
 
 def variance_by_summation(spec, dt, n_steps):
@@ -34,7 +44,7 @@ def variance_by_summation(spec, dt, n_steps):
 
 def test_variance_closed_form_matches_summation():
     spec = noise.power_decay(6, 1.5)
-    got = noise.discrete_convolution_variance(spec, 0.07, 23)
+    got = convolution_variance(spec, 0.07, 23)
     want = variance_by_summation(spec, 0.07, 23)
     assert np.allclose(got, want, rtol=1e-13)
 
@@ -44,7 +54,7 @@ def test_variance_closed_form_matches_summation():
        n=st.integers(0, 40))
 def test_variance_closed_form_property(decay, dt, n):
     spec = noise.power_decay(4, decay)
-    got = noise.discrete_convolution_variance(spec, dt, n)
+    got = convolution_variance(spec, dt, n)
     want = variance_by_summation(spec, dt, n)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-300)
     # monotone in n and below the n -> infinity geometric limit
@@ -52,15 +62,15 @@ def test_variance_closed_form_property(decay, dt, n):
     r = np.exp(-2.0 * lam * dt)
     limit = spec.mode_weights * dt * r / (1.0 - r)
     assert np.all(got <= limit * (1.0 + 1e-12))
-    nxt = noise.discrete_convolution_variance(spec, dt, n + 1)
+    nxt = convolution_variance(spec, dt, n + 1)
     assert np.all(nxt >= got)
 
 
 def test_variance_zero_steps_and_validation():
     spec = noise.white(3)
-    assert np.all(noise.discrete_convolution_variance(spec, 0.1, 0) == 0.0)
+    assert np.all(convolution_variance(spec, 0.1, 0) == 0.0)
     with pytest.raises(ConfigurationError):
-        noise.discrete_convolution_variance(spec, 0.1, -1)
+        convolution_variance(spec, 0.1, -1)
 
 
 # --- covariance construction -------------------------------------------------
@@ -219,6 +229,6 @@ def test_simulated_variance_matches_formula():
         g = rng.normal_matrix(123, np.arange(B, dtype=np.uint64), step, J)
         state = step_discrete_convolution(state, scale[:, None] * g,
                                           decay[:, None])
-    want = noise.discrete_convolution_variance(spec, dt, n_steps)
+    want = convolution_variance(spec, dt, n_steps)
     se = want * math.sqrt(2.0 / B)
     assert np.all(np.abs(state.var(axis=1, ddof=1) - want) < 4.0 * se)
