@@ -18,11 +18,9 @@ from .gaussian_oracle import (ModeGaussian, convolution_weak_error_curve,
 from .integrators import Engine, PathBatch, SchemeConfig, evolve
 from .estimators import (EXP_NEG_L2SQ, FUNCTIONALS, L2_SQUARED, BOUNDED_MODE1,
                          ContractionStudy, CostCurve, ErgodicStudy,
-                         MCEstimate, ModeStatistics, MomentStudy, PathNorms,
-                         RateFit, TamingReport, TestFunctional,
-                         WeakOrderStudy, contraction_rate, cost_curve,
-                         ergodic_average, estimate_moment,
-                         final_mode_statistics, fit_rate, path_norms,
-                         taming_headroom, weak_order_study)
+                         MCEstimate, MomentStudy, PathNorms, RateFit,
+                         TestFunctional, WeakOrderStudy, contraction_rate,
+                         cost_curve, ergodic_average, estimate_moment,
+                         fit_rate, path_norms, weak_order_study)
 
 __version__ = "0.1.0"

@@ -361,7 +361,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                     "from dt_list")
         # the base dt is the coarsest level
         levels = _fill("params", params_given, _PARAMS[experiment])["dt_list"]
-        dt = max(levels, default=0.0)
+        if not levels:
+            raise ConfigurationError("params.dt_list: give at least one level")
+        dt = max(levels)
     else:
         dt = disc["dt"]
         if horizon is not None and "n_steps" in given["discretization"]:

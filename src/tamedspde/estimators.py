@@ -333,16 +333,13 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
 
     Every level of dt_list must divide cfg's horizon into whole steps and be
     an integer multiple of the finest level, whose paths serve as the
-    reference.  Coarse increments are sums of the fine ones, so per-path
-    differences estimate the weak error with far smaller variance than
-    independent runs would.  Levels whose error is within 2 standard errors
-    of zero are excluded from the fit as noise-dominated; if fewer than
-    three levels survive, no fit is attempted and the study says so.
+    reference.  A coarse level's noise is the sum of the fine noise it
+    spans (decayed, in exact mode; see evolve), so per-path differences
+    estimate the weak error with far smaller variance than independent runs
+    would.  Levels whose error is within 2 standard errors of zero are
+    excluded from the fit as noise-dominated; if fewer than three levels
+    survive, no fit is attempted and the study says so.
     """
-    if cfg.noise_mode != "increment":
-        raise ConfigurationError(
-            "weak_order_study couples plain increments across levels; "
-            "noise_mode must be 'increment'")
     dts = [float(dt) for dt in dt_list]
     if len(set(dts)) != len(dts):
         raise ConfigurationError("dt_list entries must be distinct")
@@ -512,78 +509,6 @@ def contraction_rate(cfg: SchemeConfig, x0_b, n_paths: int,
         n_paths=int(keep.sum()),
         initial_distance=float(np.sqrt(((a - b) ** 2).sum())),
         per_path_rates=rates)
-
-
-# ---------------------------------------------------------------------------
-# taming headroom instrumentation
-
-@dataclass(frozen=True)
-class TamingReport:
-    """Largest tamed drift contribution seen across all steps and paths."""
-
-    max_drift_contribution: float
-    n_paths: int
-    n_steps: int
-
-
-def _headroom_block(start, count, *, cfg):
-    peak = np.zeros(count)
-
-    def on_state(idx, batches):
-        np.maximum(peak, batches[0].engine.last_drift_l2, out=peak)
-
-    evolve([cfg], _traj(start, count), on_state=on_state)
-    return (peak,)
-
-
-def taming_headroom(cfg: SchemeConfig, n_paths: int,
-                    workers: int = 1) -> TamingReport:
-    """Max over paths and steps of the tamed drift's L2 contribution.
-
-    The scheme guarantees this stays below 1; the report shows how much
-    margin a configuration actually has.
-    """
-    if not cfg.taming:
-        raise ConfigurationError("taming_headroom needs a tamed configuration")
-    peak, = _map_blocks(partial(_headroom_block, cfg=cfg), n_paths, workers)
-    return TamingReport(max_drift_contribution=float(peak.max()),
-                        n_paths=n_paths, n_steps=cfg.n_steps)
-
-
-# ---------------------------------------------------------------------------
-# per-mode statistics at the final time
-
-@dataclass(frozen=True, eq=False)
-class ModeStatistics:
-    """Empirical mean and variance per mode at the final state."""
-
-    mean: np.ndarray
-    mean_std_error: np.ndarray
-    variance: np.ndarray
-    variance_std_error: np.ndarray
-    n_paths: int
-
-
-def _final_state_block(start, count, *, cfg):
-    paths, = evolve([cfg], _traj(start, count))
-    return (paths.x,)
-
-
-def final_mode_statistics(cfg: SchemeConfig, n_paths: int,
-                          workers: int = 1) -> ModeStatistics:
-    """Per-mode sample mean and variance of the final state across paths."""
-    if n_paths < 2:
-        raise ConfigurationError(f"need n_paths >= 2, got {n_paths}")
-    finals, = _map_blocks(                       # (J, n_paths)
-        partial(_final_state_block, cfg=cfg), n_paths, workers)
-    mean = finals.mean(axis=1)
-    centered = finals - mean[:, None]
-    var = (centered * centered).sum(axis=1) / (n_paths - 1)
-    mean_se = np.sqrt(var / n_paths)
-    sq = centered * centered
-    var_se = sq.std(axis=1, ddof=1) / math.sqrt(n_paths)
-    return ModeStatistics(mean=mean, mean_std_error=mean_se, variance=var,
-                          variance_std_error=var_se, n_paths=n_paths)
 
 
 # ---------------------------------------------------------------------------

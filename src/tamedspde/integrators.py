@@ -249,10 +249,13 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     finest configuration.  One at the finest step takes that noise array
     itself, so its bytes are those of its solo run; one with r times fewer
     steps advances every r fine steps on the in-order sum of their noise,
-    started from +0.0.  A coupled pair is two configurations that differ
-    only in x0, stepped as two (J, B) states, not one (J, 2B) batch: a BLAS
-    gemm column can differ bitwise with the batch width (seen with OpenBLAS
-    at J = 16 and 64), which would tie the pair's bytes to its layout.
+    started from +0.0.  In exact mode the sum is multiplied by the fine
+    decay before each addition, which makes it the coarse step's stochastic
+    convolution, with the coarse law (Jentzen and Kloeden, Proc. R. Soc. A
+    465, 2009).  A coupled pair is two configurations that differ only in
+    x0, stepped as two (J, B) states, not one (J, 2B) batch: a BLAS gemm
+    column can differ bitwise with the batch width (seen with OpenBLAS at
+    J = 16 and 64), which would tie the pair's bytes to its layout.
     on_state(n, batches) fires for the initial states and after every fine
     step; once every path of every batch is frozen, nothing is drawn or
     stepped.
@@ -273,6 +276,8 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     batches = [PathBatch(cfg, traj, allow_blowup) for cfg in cfgs]
     sums = [np.empty((fine.n_modes, len(traj))) if r > 1 else None
             for r in ratios]
+    fine_decay = (batches[-1].engine.decay[:, None]
+                  if fine.noise_mode == "exact" else None)
     if on_state is not None:
         on_state(0, batches)
     for j in range(fine.n_steps):
@@ -285,6 +290,8 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
                 elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
                     np.add(noise, 0.0, out=acc)
                 else:
+                    if fine_decay is not None:
+                        acc *= fine_decay
                     acc += noise
                 if j % r == r - 1:
                     paths.advance(acc)

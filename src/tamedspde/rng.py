@@ -62,17 +62,6 @@ def _key(seed: int, trajectories, step: int) -> np.ndarray:
         return _mix(h, tmp)
 
 
-def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
-    """Raw uint64 words, shape (n_slots, len(trajectories)).
-
-    ``words(seed, t, step, n)[k, i]`` depends only on
-    (seed, trajectories[i], step, k).
-    """
-    h = _key(seed, trajectories, step)
-    slots = (np.arange(n_slots, dtype=np.uint64) * _SLOT_SALT)[:, None]
-    return _mix(h[None, :] ^ slots, np.empty((n_slots, h.size), np.uint64))
-
-
 def _to_unit(w, out):
     """((w >> 11) + 1) * 2^-53 into the float64 array out; w is overwritten.
 
@@ -86,17 +75,12 @@ def _to_unit(w, out):
     return out
 
 
-def uniforms(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
-    """Uniform draws on (0, 1], shape (n_slots, len(trajectories))."""
-    w = words(seed, trajectories, step, n_slots)
-    return _to_unit(w, np.empty(w.shape))
-
-
 def normal_matrix(seed: int, trajectories, step: int, n_rows: int) -> np.ndarray:
     """Standard normals, shape (n_rows, len(trajectories)), as a new array.
 
     Entry (j, i) is a pure function of (seed, trajectories[i], step, j):
-    Box-Muller on uniforms(...)[2j, i] (radius) and [2j + 1, i] (angle).
+    Box-Muller on the uniforms of slots 2j (radius) and 2j + 1 (angle),
+    where slot k's word is _mix(_key(...) ^ k * _SLOT_SALT).
     """
     h = _key(seed, trajectories, step)
     key = (n_rows, h.size)
@@ -107,7 +91,7 @@ def normal_matrix(seed: int, trajectories, step: int, n_rows: int) -> np.ndarray
                       np.empty((2,) + key, np.uint64),
                       np.empty((2,) + key, np.uint64))
     slots, w, tmp = _work[key]
-    # the words of uniforms(), radius slots 2j then angle slots 2j + 1
+    # the words of radius slots 2j, then of angle slots 2j + 1
     _mix(np.bitwise_xor(h, slots, out=w), tmp)
     radius, angle = _to_unit(w, tmp.view(np.float64))
     # sqrt(-2.0 * log(u[2j])) * cos((2.0 * pi) * u[2j + 1]), op by op

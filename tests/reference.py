@@ -1,16 +1,51 @@
 """Reference versions of what the engine does in place, for tests only.
 
 Each function here spells out one piece of the scheme the plain way, so a
-test can hold the batched engine to it: the zero-drift step map, the
-pseudo-spectral reaction lift and its taming norm, and the summation of
-fine increments into coarse ones that couples the weak-order levels.
+test can hold the batched engine to it: the counter-based words and
+uniforms that rng.normal_matrix draws from, the zero-drift step map, the
+pseudo-spectral reaction lift and its taming norm, the summation of fine
+increments into coarse ones that couples the weak-order levels, and the
+per-mode statistics of a final state that the Gaussian laws are held to.
 """
+
+import math
 
 import numpy as np
 
+from tamedspde import rng
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.nonlinearity import Nonlinearity
 from tamedspde.spectral import SpectralField, sine_matrix
+
+
+def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
+    """Raw uint64 words, shape (n_slots, len(trajectories)).
+
+    ``words(seed, t, step, n)[k, i]`` depends only on
+    (seed, t[i], step, k): it is the splitmix64 finalizer of the
+    (seed, trajectory, step) key salted with slot k.
+    """
+    h = rng._key(seed, trajectories, step)
+    slots = (np.arange(n_slots, dtype=np.uint64) * rng._SLOT_SALT)[:, None]
+    return rng._mix(h[None, :] ^ slots, np.empty((n_slots, h.size), np.uint64))
+
+
+def uniforms(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
+    """Uniform draws on (0, 1], shape (n_slots, len(trajectories)): the top
+    53 bits of each word, plus one, times 2^-53, each step exact."""
+    w = words(seed, trajectories, step, n_slots)
+    return ((w >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+
+
+def mode_statistics(x: np.ndarray):
+    """Per-mode (mean, its SE, variance, its SE) across the paths of the
+    (J, B) states x, such as a PathBatch's final ones."""
+    n_paths = x.shape[1]
+    mean = x.mean(axis=1)
+    sq = (x - mean[:, None]) ** 2
+    var = sq.sum(axis=1) / (n_paths - 1)
+    return (mean, np.sqrt(var / n_paths), var,
+            sq.std(axis=1, ddof=1) / math.sqrt(n_paths))
 
 
 def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,

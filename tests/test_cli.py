@@ -593,6 +593,9 @@ _MALFORMED = [
     ("simulate", {"sampling": {"n_paths": 3, "seed": 2 ** 64 + 3}},
      "sampling.seed"),
     ("simulate", {"sampling": {"n_paths": 3, "seed": -1}}, "sampling.seed"),
+    # the coarsest level is the base dt, but an empty list has none
+    ("weak-order", {"discretization": {"horizon": 1.0},
+                    "params": {"dt_list": []}}, "params.dt_list"),
 ]
 
 

@@ -20,16 +20,14 @@ from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   L2_SQUARED, MCEstimate, contraction_rate,
                                   cost_curve, ergodic_average, estimate_moment,
-                                  final_mode_statistics, fit_rate,
-                                  path_norms, taming_headroom,
-                                  weak_order_study)
+                                  fit_rate, path_norms, weak_order_study)
 from tamedspde.gaussian_oracle import (linear_invariant_variance,
                                        linear_scheme_law)
-from tamedspde.integrators import PathBatch, SchemeConfig
+from tamedspde.integrators import PathBatch, SchemeConfig, evolve
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
 from tamedspde.spectral import eigenvalue, semigroup_factors, unit_mode, zero_field
 
-from reference import aggregate_fine_increments
+from reference import aggregate_fine_increments, mode_statistics
 
 
 def make_cfg(nl, J=8, dt=0.05, n_steps=20, taming=True, mode="increment",
@@ -307,10 +305,11 @@ def test_weak_order_validation():
     for dts in ([0.25, 0.125, 0.0], [0.25, 0.125, -0.0625]):  # dt <= 0
         with pytest.raises(ConfigurationError):
             weak_order_study(cfg, dts, EXP_NEG_L2SQ, 16)
+    # exact levels nest: with zero reaction each ends where the finest does
     exact = make_cfg(zero(), J=4, dt=0.25, n_steps=4, x0=zero_field(4),
                      cov=noise.white(4), mode="exact")
-    with pytest.raises(ConfigurationError):
-        weak_order_study(exact, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, 16)
+    study = weak_order_study(exact, [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, 16)
+    assert all(lv.error <= 1e-12 for lv in study.levels)
 
 
 # --- ergodic averages -----------------------------------------------------------
@@ -381,15 +380,16 @@ def test_contraction_validation():
 def test_taming_headroom_below_one():
     cfg = make_cfg(dissipative_cubic(0.0), x0=unit_mode(8, 1, 5.0), seed=1,
                    n_steps=30)
-    report = taming_headroom(cfg, n_paths=32)
-    assert 0.0 < report.max_drift_contribution < 1.0
-    assert report.n_paths == 32 and report.n_steps == 30
+    peak = np.zeros(32)
+    states = []
 
+    def on_state(idx, batches):
+        np.maximum(peak, batches[0].engine.last_drift_l2, out=peak)
+        states.append(idx)
 
-def test_taming_headroom_requires_taming():
-    cfg = make_cfg(dissipative_cubic(0.0), taming=False)
-    with pytest.raises(ConfigurationError):
-        taming_headroom(cfg, n_paths=4)
+    evolve([cfg], np.arange(32, dtype=np.uint64), on_state=on_state)
+    assert 0.0 < peak.max() < 1.0
+    assert states == list(range(31))
 
 
 # --- final mode statistics -------------------------------------------------------------
@@ -397,19 +397,13 @@ def test_taming_headroom_requires_taming():
 def test_final_mode_statistics_match_gaussian_law():
     cfg = make_cfg(zero(), J=4, dt=0.05, n_steps=10, taming=False, seed=12,
                    x0=unit_mode(4, 1, 2.0), cov=noise.white(4))
-    stats = final_mode_statistics(cfg, n_paths=4000)
+    paths, = evolve([cfg], np.arange(4000, dtype=np.uint64))
+    mean, mean_se, var, var_se = mode_statistics(paths.x)
     mean_want = semigroup_factors(4, 0.05) ** 10 * cfg.x0.coeffs
     var_want = linear_scheme_law(cfg).variance
-    assert np.all(np.abs(stats.mean - mean_want) < 4.0 * stats.mean_std_error)
-    assert np.all(np.abs(stats.variance - var_want)
-                  < 4.0 * stats.variance_std_error)
-    assert stats.n_paths == 4000
-
-
-def test_final_mode_statistics_validation():
-    cfg = make_cfg(zero(), J=4, x0=zero_field(4), cov=noise.white(4))
-    with pytest.raises(ConfigurationError):
-        final_mode_statistics(cfg, n_paths=1)
+    assert np.all(np.abs(mean - mean_want) < 4.0 * mean_se)
+    assert np.all(np.abs(var - var_want) < 4.0 * var_se)
+    assert mean.shape == var.shape == (4,)
 
 
 # --- one overflow policy for every study ------------------------------------------
@@ -422,8 +416,6 @@ _STUDIES = {
     "ergodic": lambda cfg: ergodic_average(cfg, EXP_NEG_L2SQ, 0.0, 4),
     "contraction": lambda cfg: contraction_rate(cfg, zero_field(8), 4),
     "simulate": lambda cfg: path_norms(cfg, 4),
-    "headroom": lambda cfg: taming_headroom(cfg, 4),
-    "final-state": lambda cfg: final_mode_statistics(cfg, 4),
 }
 
 
@@ -437,7 +429,7 @@ def test_overflow_names_trajectory_and_step(study):
     assert exc_info.value.step == 1
 
 
-@pytest.mark.parametrize("study", ["moment-growth", "final-state"])
+@pytest.mark.parametrize("study", ["moment-growth", "ergodic"])
 def test_batched_x0_is_a_configuration_error(study):
     cfg = make_cfg(zero(), x0=spectral.SpectralField(np.zeros((8, 2))))
     with pytest.raises(ConfigurationError):
@@ -455,10 +447,10 @@ def test_block_results_independent_of_workers():
     assert solo.estimates[0].value == pooled.estimates[0].value
     assert solo.estimates[0].std_error == pooled.estimates[0].std_error
 
-    stats1 = final_mode_statistics(cfg, n_paths=1030, workers=1)
-    stats3 = final_mode_statistics(cfg, n_paths=1030, workers=3)
-    assert np.array_equal(stats1.mean, stats3.mean)
-    assert np.array_equal(stats1.variance, stats3.variance)
+    norms1 = path_norms(cfg, 1030, workers=1)
+    norms3 = path_norms(cfg, 1030, workers=3)
+    for field in ("l2", "sup", "blowup_steps"):
+        assert np.array_equal(getattr(norms1, field), getattr(norms3, field))
 
 
 

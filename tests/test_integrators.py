@@ -23,12 +23,14 @@ from tamedspde.config import parse_config
 from tamedspde.errors import (ConfigurationError, TamingBoundViolation,
                               TrajectoryOverflow)
 from tamedspde.estimators import path_norms
+from tamedspde.gaussian_oracle import linear_scheme_law
 from tamedspde.integrators import Engine, SchemeConfig, evolve
 from tamedspde.nonlinearity import (allen_cahn, dissipative_cubic, linear,
                                     polynomial, zero)
 from tamedspde.spectral import SpectralField, unit_mode
 
-from reference import apply_nemytskii, drift_norm, step_discrete_convolution
+from reference import (apply_nemytskii, drift_norm, mode_statistics,
+                       step_discrete_convolution)
 
 
 def manual_step(cfg, x, noise_term):
@@ -374,6 +376,32 @@ def test_configurations_share_one_noise():
     for cfg, paths in zip(cfgs, evolve(cfgs, _traj(3, 4, 5))):
         solo, = evolve([cfg], _traj(3, 4, 5))
         assert np.array_equal(paths.x, solo.x), cfg.nl.name
+
+
+def test_exact_mode_levels_nest():
+    # zero reaction in exact mode: a coarse step is the fine steps composed,
+    # so every level ends where the finest does, up to rounding
+    cfg = make_cfg(zero(), J=16, mode="exact", seed=5,
+                   cov=noise.power_decay(16, 3.0))
+    levels = [replace(cfg, dt=2.0 ** -k, n_steps=2 ** (k - 2))
+              for k in range(2, 6)]
+    batches = evolve(levels, np.arange(2048, dtype=np.uint64))
+    finest = batches[-1].x
+    for paths in batches[:-1]:
+        rel = np.abs(paths.x - finest).max() / np.abs(finest).max()
+        assert rel <= 1e-12, (paths.cfg.dt, rel)
+
+
+def test_exact_mode_coarse_level_has_its_law():
+    # a nested coarse level is exact in law, like its solo run (check 03)
+    fine = make_cfg(linear(1.0), J=4, dt=0.05, n_steps=20, taming=False,
+                    mode="exact", seed=3, x0=spectral.zero_field(4))
+    coarse = replace(fine, dt=0.1, n_steps=10)
+    paths, _ = evolve([coarse, fine], np.arange(20_000, dtype=np.uint64))
+    mean, mean_se, var, var_se = mode_statistics(paths.x)
+    law = linear_scheme_law(coarse)
+    assert np.all(np.abs(mean - law.mean) < 4.0 * mean_se)
+    assert np.all(np.abs(var - law.variance) < 4.0 * var_se)
 
 
 def test_configurations_that_cannot_share_noise_are_rejected():

