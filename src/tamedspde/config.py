@@ -363,15 +363,15 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
         levels = _fill("params", params_given, _PARAMS[experiment])["dt_list"]
         if not levels:
             raise ConfigurationError("params.dt_list: give at least one level")
-        dt = max(levels)
+        dt, name = max(levels), "params.dt_list: coarsest level dt"
     else:
-        dt = disc["dt"]
+        dt, name = disc["dt"], "discretization.dt"
         if horizon is not None and "n_steps" in given["discretization"]:
             raise ConfigurationError(
                 "give discretization.horizon or discretization.n_steps, not both")
     if not 0 < dt <= disc["dt_max"]:
         raise ConfigurationError(
-            f"discretization.dt={dt} must be in (0, dt_max={disc['dt_max']}]")
+            f"{name}={dt} must be in (0, dt_max={disc['dt_max']}]")
     n_steps = disc["n_steps"] if horizon is None else _read(
         "discretization.horizon", horizon, lambda h: whole_steps(h, dt))
     params = _fill("params", params_given, _PARAMS[experiment],

@@ -16,9 +16,9 @@ functools.partial to keep them picklable.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -158,8 +158,10 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
     if workers <= 1 or len(starts) == 1:
         parts = [block_fn(s, c) for s, c in zip(starts, counts)]
     else:
-        # under fork the executor starts all max_workers processes at once
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        # under fork the executor starts all max_workers processes at once;
+        # concurrent.futures imports its process module on this first use
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(block_fn, starts, counts))
     return tuple(np.concatenate(joined, axis=-1) for joined in zip(*parts))
 

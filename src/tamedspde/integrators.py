@@ -26,13 +26,19 @@ States are coefficient arrays of shape (J,) or (J, B); every operation here
 is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
-of batch or process layout.
+of batch, process or thread layout, so :func:`evolve` draws the next step's
+normals on a helper thread while the current step runs.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +50,14 @@ from .spectral import (SpectralField, phi1_factors, semigroup_factors,
                        sine_matrix)
 
 _NOISE_MODES = ("increment", "exact")
+
+# the node-side work of a step runs over row tiles of about this many bytes
+# of the workspace, which stay in cache between the reaction and its square
+_TILE_BYTES = 1 << 17
+
+# evolve draws a step's normals ahead on its helper thread only for draws of
+# at least this many: below it the hand-over costs more than it overlaps
+_AHEAD_MIN_NORMALS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +132,10 @@ def _col(factors: np.ndarray, x: np.ndarray) -> np.ndarray:
 class Engine:
     """Precomputed one-step map for a fixed configuration.
 
-    step() refreshes ``last_drift_l2`` with the L2 norm of the tamed drift
-    contribution, for the taming headroom, and writes its intermediates into
-    a workspace shared by all engines; the states it returns are new arrays.
+    step() refreshes ``last_drift_l2`` with the per-path L2 norm of the
+    tamed drift contribution, whose bound :class:`PathBatch` checks, and
+    writes its intermediates into a workspace shared by all engines; the
+    states it returns are new arrays.
     """
 
     # step()'s buffers for the last (n_nodes, state shape), shared by all
@@ -170,13 +185,20 @@ class Engine:
                                   np.empty(x.shape))}
         (z, fx), coeffs = Engine._work[key]
         inc = self.noise_mode == "increment"
+        rows = max(1, _TILE_BYTES // fx[0].nbytes)  # node rows per tile
         with np.errstate(over="ignore", invalid="ignore"):
-            fx = self.f(np.matmul(self.basis, x, out=z), out=fx)
+            np.matmul(self.basis, x, out=z)
+            # elementwise, so tiling leaves every bit as on the whole array;
+            # z holds fx * fx afterwards, summed whole below
+            for lo in range(0, len(z), rows):
+                zt, ft = z[lo:lo + rows], fx[lo:lo + rows]
+                self.f(zt, out=ft)
+                if self.taming:
+                    np.multiply(ft, ft, out=zt)
             coeffs = np.matmul(self.basis.T, fx, out=coeffs)
             coeffs *= self.weight
             if self.taming:
-                norm = np.sqrt(np.multiply(fx, fx, out=z).sum(axis=0)
-                               * self.weight)
+                norm = np.sqrt(z.sum(axis=0) * self.weight)
                 drift = np.multiply(_col(self.gain, x), coeffs, out=coeffs)
                 drift /= 1.0 + self.dt * norm
                 # decay * (x + noise) + drift, or decay * x + drift + noise
@@ -241,6 +263,41 @@ class PathBatch:
         self.x = new
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None where no such library is found.  Looked up on first use."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block and
+    restore its count after; do nothing where that library is not found."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     """Step one :class:`PathBatch` per configuration on one stream of
     addressed noise, and return the batches.
@@ -259,6 +316,13 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     on_state(n, batches) fires for the initial states and after every fine
     step; once every path of every batch is frozen, nothing is drawn or
     stepped.
+
+    While step j runs, one helper thread draws the normals of step j + 1,
+    unless a draw is small or allow_blowup is set (a step may then freeze
+    the last live path, after which nothing may be drawn).  For the length
+    of the call numpy's bundled OpenBLAS, when found, runs on one thread,
+    so the helper has the other core; the previous count is restored on
+    return or raise.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1
@@ -278,23 +342,36 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
             for r in ratios]
     fine_decay = (batches[-1].engine.decay[:, None]
                   if fine.noise_mode == "exact" else None)
-    if on_state is not None:
-        on_state(0, batches)
-    for j in range(fine.n_steps):
-        if any((paths.blowup < 0).any() for paths in batches):
-            noise = batches[-1].engine.noise_from_gaussians(
-                rng.normal_matrix(fine.seed, traj, j, fine.n_modes))
-            for paths, r, acc in zip(batches, ratios, sums):
-                if r == 1:
-                    acc = noise
-                elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
-                    np.add(noise, 0.0, out=acc)
-                else:
-                    if fine_decay is not None:
-                        acc *= fine_decay
-                    acc += noise
-                if j % r == r - 1:
-                    paths.advance(acc)
+
+    def draw(j):  # rng.normal_matrix is looked up at each call
+        return rng.normal_matrix(fine.seed, traj, j, fine.n_modes)
+
+    draw_ahead = (not allow_blowup
+                  and fine.n_modes * len(traj) >= _AHEAD_MIN_NORMALS)
+    with (_one_blas_thread(),
+          concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper):
         if on_state is not None:
-            on_state(j + 1, batches)
+            on_state(0, batches)
+        # in this mode the helper draws every step, step 0 included, so
+        # the main thread builds no rng workspace of its own
+        ahead = helper.submit(draw, 0) if draw_ahead and fine.n_steps else None
+        for j in range(fine.n_steps):
+            if any((paths.blowup < 0).any() for paths in batches):
+                g = draw(j) if ahead is None else ahead.result()
+                ahead = (helper.submit(draw, j + 1)
+                         if draw_ahead and j + 1 < fine.n_steps else None)
+                noise = batches[-1].engine.noise_from_gaussians(g)
+                for paths, r, acc in zip(batches, ratios, sums):
+                    if r == 1:
+                        acc = noise
+                    elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
+                        np.add(noise, 0.0, out=acc)
+                    else:
+                        if fine_decay is not None:
+                            acc *= fine_decay
+                        acc += noise
+                    if j % r == r - 1:
+                        paths.advance(acc)
+            if on_state is not None:
+                on_state(j + 1, batches)
     return batches

@@ -12,12 +12,15 @@ two properties the estimators rely on:
 The word function is a chain of splitmix64 finalizer rounds, one per index
 field.  Normals come from Box-Muller on two 53-bit uniforms, which keeps the
 consumption per slot fixed (two words per normal, no rejection loop).
-normal_matrix() does its elementwise work in place in a workspace kept for
-the last shape it was asked for, so a stream of same-shape calls allocates
-only the arrays it returns.
+normal_matrix() does its elementwise work in place in a workspace kept, per
+thread, for the last shape it was asked for, so a stream of same-shape calls
+allocates only the arrays it returns, and calls from two threads at once
+share no buffer.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -28,10 +31,11 @@ _SLOT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 _TWO_POW_MINUS_53 = 2.0 ** -53
 
-# normal_matrix()'s buffers for the last (n_rows, B): the slot salts of the
-# radius and angle halves, the words and one scratch; a call writes the
-# words and the scratch before reading them and returns none of them
-_work = {}
+# normal_matrix()'s buffers for the last (n_rows, B) of each thread, as
+# _work.key and _work.buffers: the slot salts of the radius and angle
+# halves, the words and one scratch; a call writes the words and the
+# scratch before reading them and returns none of them
+_work = threading.local()
 
 
 def _mix(z, tmp):
@@ -84,13 +88,13 @@ def normal_matrix(seed: int, trajectories, step: int, n_rows: int) -> np.ndarray
     """
     h = _key(seed, trajectories, step)
     key = (n_rows, h.size)
-    if key not in _work:
+    if getattr(_work, "key", None) != key:
         slots = np.arange(2 * n_rows, dtype=np.uint64) * _SLOT_SALT
-        _work.clear()
-        _work[key] = (slots.reshape(n_rows, 2).T[:, :, None].copy(),
-                      np.empty((2,) + key, np.uint64),
-                      np.empty((2,) + key, np.uint64))
-    slots, w, tmp = _work[key]
+        _work.buffers = (slots.reshape(n_rows, 2).T[:, :, None].copy(),
+                         np.empty((2,) + key, np.uint64),
+                         np.empty((2,) + key, np.uint64))
+        _work.key = key
+    slots, w, tmp = _work.buffers
     # the words of radius slots 2j, then of angle slots 2j + 1
     _mix(np.bitwise_xor(h, slots, out=w), tmp)
     radius, angle = _to_unit(w, tmp.view(np.float64))

@@ -596,6 +596,10 @@ _MALFORMED = [
     # the coarsest level is the base dt, but an empty list has none
     ("weak-order", {"discretization": {"horizon": 1.0},
                     "params": {"dt_list": []}}, "params.dt_list"),
+    ("weak-order", {"discretization": {"horizon": 1.0},
+                    "params": {"dt_list": [0.0]}}, "params.dt_list"),
+    ("weak-order", {"discretization": {"horizon": 1.0},
+                    "params": {"dt_list": [1.0, 0.5, 0.25]}}, "params.dt_list"),
 ]
 
 

@@ -7,6 +7,7 @@ Block layout tests assert bitwise equality across worker counts, which is
 the reproducibility contract the CSV outputs rely on.
 """
 
+import concurrent.futures
 import math
 import tracemalloc
 import warnings
@@ -472,7 +473,7 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     # each block's arrays are joined on their last (path) axis in block order
     starts, counts = estimators._map_blocks(
         lambda s, c: (np.full((2, c), s), np.array([c])), 2049, workers=8)

@@ -10,6 +10,8 @@ decay identities.
 """
 
 import math
+import threading
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,6 +215,63 @@ def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
     assert isinstance(exc_info.value, TrajectoryOverflow)
     assert exc_info.value.step == 1
     assert exc_info.value.trajectory == 8
+
+
+# --- row tiles, the draw-ahead helper and the BLAS pin ---------------------------
+
+@pytest.mark.parametrize("J, B", [(64, 1024), (16, 1)])  # (256, 1024), (64, 1)
+@pytest.mark.parametrize("taming", [True, False])
+def test_tiled_step_matches_manual_assembly(J, B, taming):
+    # a (256, 1024) workspace runs in 16 row tiles, a (64, 1) one in one
+    cfg = make_cfg(dissipative_cubic(1.0), J=J, taming=taming)
+    engine = Engine(cfg)
+    gen = np.random.default_rng(J)
+    x = gen.normal(scale=2.0, size=(J, B))
+    noise_term = engine.noise_from_gaussians(gen.normal(size=(J, B)))
+    assert np.array_equal(engine.step(x, noise_term),
+                          manual_step(cfg, x, noise_term))
+
+
+def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
+    # 16 x 1024 normals per step are drawn ahead; a coarse level rides along
+    fine = make_cfg(dissipative_cubic(1.0), J=16, n_steps=6, seed=5)
+    cfgs = [replace(fine, dt=2 * fine.dt, n_steps=3), fine]
+    traj = np.arange(1024, dtype=np.uint64)
+    on_main, normal_matrix = [], rng.normal_matrix
+    monkeypatch.setattr(rng, "normal_matrix", lambda *a: on_main.append(
+        threading.current_thread() is threading.main_thread())
+        or normal_matrix(*a))
+    runs = [evolve(cfgs, traj)]
+    monkeypatch.setattr(integrators, "_openblas_threads", lambda: None)
+    runs.append(evolve(cfgs, traj))
+    assert on_main == [False] * 12  # every draw on the helper
+    monkeypatch.setattr(integrators, "_AHEAD_MIN_NORMALS", 1 << 62)
+    runs.append(evolve(cfgs, traj))
+    assert on_main[12:] == [True] * 6
+    for batches in runs[1:]:
+        for got, want in zip(batches, runs[0]):
+            assert np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_blas_count_is_restored(monkeypatch, overflow):
+    cfg = (make_cfg(polynomial([0.0, 0.0, 0.0, 1.0]), taming=False,
+                    x0=unit_mode(6, 1, 1e150)) if overflow
+           else make_cfg(dissipative_cubic(1.0), n_steps=3))
+    real = integrators._openblas_threads()
+    before = real[0]() if real else None
+    counts, seen = [3], []
+    monkeypatch.setattr(integrators, "_openblas_threads",
+                        lambda: (lambda: counts[-1], counts.append))
+    with pytest.raises(TrajectoryOverflow) if overflow else nullcontext():
+        evolve([cfg], _traj(0),
+               on_state=lambda n, batches: seen.append(counts[-1]))
+    assert counts == [3, 1, 3]
+    assert seen == ([1] if overflow else [1] * 4)
+    monkeypatch.undo()
+    with pytest.raises(TrajectoryOverflow) if overflow else nullcontext():
+        evolve([cfg], _traj(0))
+    assert (real[0]() if real else None) == before
 
 
 # --- the simulate study ------------------------------------------------------------
