@@ -149,7 +149,9 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
 
     block_fn returns a tuple of arrays whose last axis runs over the block's
     paths; each is joined along that axis in block order, whether or not a
-    pool is used.  The partition depends only on n_paths.
+    pool is used.  The partition depends only on n_paths.  If a worker
+    process dies, the BrokenProcessPool raised names the trajectories of the
+    first block, in block order, that it left unfinished.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
@@ -162,7 +164,16 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
         # concurrent.futures imports its process module on this first use
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(block_fn, starts, counts))
+            futures = [pool.submit(block_fn, s, c)
+                       for s, c in zip(starts, counts)]
+            parts = []
+            for future, s, c in zip(futures, starts, counts):
+                try:
+                    parts.append(future.result())
+                except concurrent.futures.process.BrokenProcessPool as exc:
+                    raise concurrent.futures.process.BrokenProcessPool(
+                        f"a worker process died before trajectories {s} to "
+                        f"{s + c - 1} were done") from exc
     return tuple(np.concatenate(joined, axis=-1) for joined in zip(*parts))
 
 

@@ -37,6 +37,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,9 +56,10 @@ _NOISE_MODES = ("increment", "exact")
 # of the workspace, which stay in cache between the reaction and its square
 _TILE_BYTES = 1 << 17
 
-# evolve draws a step's normals ahead on its helper thread only for draws of
-# at least this many: below it the hand-over costs more than it overlaps
-_AHEAD_MIN_NORMALS = 1 << 14
+# evolve's helper thread draws at least this many normals per call, in the
+# fewest whole steps that hold them: short numpy calls on two threads trade
+# the GIL at every call instead of overlapping
+_CHUNK_NORMALS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +140,10 @@ class Engine:
     states it returns are new arrays.
     """
 
-    # step()'s buffers for the last (n_nodes, state shape), shared by all
-    # engines; a step writes each before reading it and returns none of them
-    _work = {}
+    # step()'s buffers for the last (n_nodes, state shape) of each thread,
+    # as _work.key and _work.buffers, shared by all engines; a step writes
+    # each before reading it and returns none of them
+    _work = threading.local()
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
@@ -179,11 +182,12 @@ class Engine:
             return decay * x + noise
 
         # the module docstring's expressions, each operation in its order
-        key = (self.basis.shape[0],) + x.shape
-        if key not in Engine._work:
-            Engine._work = {key: (np.empty((2, key[0]) + x.shape[1:]),
-                                  np.empty(x.shape))}
-        (z, fx), coeffs = Engine._work[key]
+        key, work = (self.basis.shape[0],) + x.shape, Engine._work
+        if getattr(work, "key", None) != key:
+            work.buffers = (np.empty((2, key[0]) + x.shape[1:]),
+                            np.empty(x.shape))
+            work.key = key
+        (z, fx), coeffs = work.buffers
         inc = self.noise_mode == "increment"
         rows = max(1, _TILE_BYTES // fx[0].nbytes)  # node rows per tile
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,21 +285,34 @@ def _openblas_threads():
     return None
 
 
+# _one_blas_thread's nesting depth and the count it restores on last exit
+_blas_lock = threading.Lock()
+_blas_pin = {"depth": 0, "before": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block and
-    restore its count after; do nothing where that library is not found."""
+    restore its count after; do nothing where that library is not found.
+    Blocks may overlap, on any threads: the first entry sets one thread and
+    the last exit restores the count the first one found."""
     blas = _openblas_threads()
     if blas is None:
         yield
         return
     get, set_ = blas
-    before = get()
-    set_(1)
+    with _blas_lock:
+        if _blas_pin["depth"] == 0:
+            _blas_pin["before"] = get()
+            set_(1)
+        _blas_pin["depth"] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _blas_lock:
+            _blas_pin["depth"] -= 1
+            if _blas_pin["depth"] == 0:
+                set_(_blas_pin["before"])
 
 
 def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
@@ -317,12 +334,21 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     step; once every path of every batch is frozen, nothing is drawn or
     stepped.
 
-    While step j runs, one helper thread draws the normals of step j + 1,
-    unless a draw is small or allow_blowup is set (a step may then freeze
-    the last live path, after which nothing may be drawn).  For the length
-    of the call numpy's bundled OpenBLAS, when found, runs on one thread,
-    so the helper has the other core; the previous count is restored on
-    return or raise.
+    One helper thread draws the normals ahead, K steps per call
+    (rng.normal_matrix over a range): while the main thread runs the steps
+    of one chunk, the helper draws the next.  K is the fewest steps that
+    hold 2^16 normals, capped at the steps left: 4 at 16 modes and 1024
+    paths, 1 at 64 modes.  Every numpy call releases and retakes the GIL,
+    and at (16, 1024) a draw or a step is 25-40 calls of 10-30 us, so drawn
+    one step per call the two threads mostly trade the GIL (1.33 ms per
+    draw-and-step pair against 1.44 ms serially, on a 2-core Xeon VM);
+    K times longer calls overlap.  Under allow_blowup the main thread
+    draws each step itself, as a step may freeze the last live path, after
+    which nothing may be drawn.  For the length of the call numpy's bundled
+    OpenBLAS, when found, runs on one thread, so the helper has the other
+    core; the previous count is restored on return or raise, once the last
+    of any overlapping calls ends.  Calls on several threads at once share
+    no buffer.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1
@@ -343,23 +369,30 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     fine_decay = (batches[-1].engine.decay[:, None]
                   if fine.noise_mode == "exact" else None)
 
-    def draw(j):  # rng.normal_matrix is looked up at each call
-        return rng.normal_matrix(fine.seed, traj, j, fine.n_modes)
+    per_call = -(-_CHUNK_NORMALS // max(1, fine.n_modes * len(traj)))
 
-    draw_ahead = (not allow_blowup
-                  and fine.n_modes * len(traj) >= _AHEAD_MIN_NORMALS)
+    def draw(lo):  # rng.normal_matrix is looked up at each call
+        steps = range(lo, min(lo + per_call, fine.n_steps))
+        return rng.normal_matrix(fine.seed, traj, steps, fine.n_modes)
+
     with (_one_blas_thread(),
           concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper):
         if on_state is not None:
             on_state(0, batches)
-        # in this mode the helper draws every step, step 0 included, so
-        # the main thread builds no rng workspace of its own
-        ahead = helper.submit(draw, 0) if draw_ahead and fine.n_steps else None
+        # the helper draws every step, step 0 included, so the main thread
+        # builds no rng workspace of its own
+        ahead = (helper.submit(draw, 0)
+                 if fine.n_steps and not allow_blowup else None)
         for j in range(fine.n_steps):
             if any((paths.blowup < 0).any() for paths in batches):
-                g = draw(j) if ahead is None else ahead.result()
-                ahead = (helper.submit(draw, j + 1)
-                         if draw_ahead and j + 1 < fine.n_steps else None)
+                if allow_blowup:
+                    g = rng.normal_matrix(fine.seed, traj, j, fine.n_modes)
+                else:
+                    if j % per_call == 0:
+                        chunk = ahead.result()
+                        ahead = (helper.submit(draw, j + per_call)
+                                 if j + per_call < fine.n_steps else None)
+                    g = chunk[j % per_call]
                 noise = batches[-1].engine.noise_from_gaussians(g)
                 for paths, r, acc in zip(batches, ratios, sums):
                     if r == 1:

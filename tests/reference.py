@@ -25,7 +25,7 @@ def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
     (seed, t[i], step, k): it is the splitmix64 finalizer of the
     (seed, trajectory, step) key salted with slot k.
     """
-    h = rng._key(seed, trajectories, step)
+    h = rng._keys(seed, trajectories, range(step, step + 1))[0]
     slots = (np.arange(n_slots, dtype=np.uint64) * rng._SLOT_SALT)[:, None]
     return rng._mix(h[None, :] ^ slots, np.empty((n_slots, h.size), np.uint64))
 

@@ -11,6 +11,7 @@ paths); the whole file takes a few minutes, dominated by the coupled
 weak-order study.
 """
 
+import os
 import time
 
 import numpy as np
@@ -244,7 +245,9 @@ def test_nonlinear_weak_order_near_one():
                        cov=noise.power_decay(J, 3.0), nl=dissipative_cubic(1.0),
                        x0=spectral.unit_mode(J, 1), seed=0, taming=True)
     dts = [2.0 ** -k for k in range(2, 9)]
-    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, n_paths=102_400)
+    # check 11 shows the worker count moves no byte
+    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, n_paths=102_400,
+                             workers=min(2, os.cpu_count() or 1))
     elapsed = time.perf_counter() - t0
     if study.fit is None:
         _record(9, "nonlinear weak order near one", False,

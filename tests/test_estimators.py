@@ -9,8 +9,11 @@ the reproducibility contract the CSV outputs rely on.
 
 import concurrent.futures
 import math
+import os
+import time
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -470,8 +473,10 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     # each block's arrays are joined on their last (path) axis in block order
@@ -482,6 +487,22 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
     assert counts.tolist() == [1024, 1024, 1]
     estimators._map_blocks(lambda s, c: (np.array([c]),), 2049, workers=2)
     assert sizes == [3, 2]
+
+
+def _die_on_second_block(start, count):
+    # the block of trajectories 1024-2047 kills its worker; the pause lets
+    # the other worker hand back block 0 first
+    if start == 1024:
+        time.sleep(0.5)
+        os._exit(1)
+    return (np.full(count, start),)
+
+
+def test_dead_worker_names_its_block():
+    with pytest.raises(BrokenProcessPool,
+                       match="trajectories 1024 to 2047") as info:
+        estimators._map_blocks(_die_on_second_block, 2049, workers=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 # --- cost curve --------------------------------------------------------------------
 

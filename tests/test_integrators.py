@@ -233,7 +233,8 @@ def test_tiled_step_matches_manual_assembly(J, B, taming):
 
 
 def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
-    # 16 x 1024 normals per step are drawn ahead; a coarse level rides along
+    # 16 x 1024 normals per step, so the helper draws 4 steps per call: a
+    # chunk of 4 and a tail of 2; a coarse level rides along
     fine = make_cfg(dissipative_cubic(1.0), J=16, n_steps=6, seed=5)
     cfgs = [replace(fine, dt=2 * fine.dt, n_steps=3), fine]
     traj = np.arange(1024, dtype=np.uint64)
@@ -244,13 +245,67 @@ def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
     runs = [evolve(cfgs, traj)]
     monkeypatch.setattr(integrators, "_openblas_threads", lambda: None)
     runs.append(evolve(cfgs, traj))
-    assert on_main == [False] * 12  # every draw on the helper
-    monkeypatch.setattr(integrators, "_AHEAD_MIN_NORMALS", 1 << 62)
-    runs.append(evolve(cfgs, traj))
-    assert on_main[12:] == [True] * 6
+    assert on_main and not any(on_main)  # every draw on the helper
+    # allow_blowup draws each step on the main thread
+    del on_main[:]
+    runs.append(evolve(cfgs, traj, allow_blowup=True))
+    assert on_main == [True] * 6
     for batches in runs[1:]:
         for got, want in zip(batches, runs[0]):
             assert np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("mode", ["increment", "exact"])
+def test_chunked_draws_with_a_tail_equal_per_step_draws(monkeypatch, mode):
+    # 8 x 300 normals per step: chunks of 28 steps, so 60 steps end on a
+    # tail of 4; the per-step draws of allow_blowup are the reference
+    fine = make_cfg(dissipative_cubic(1.0), J=8, n_steps=60, seed=3,
+                    mode=mode)
+    cfgs = [replace(fine, dt=3 * fine.dt, n_steps=20), fine]
+    traj = np.arange(500, 800, dtype=np.uint64)
+    chunks, normal_matrix = [], rng.normal_matrix
+    monkeypatch.setattr(rng, "normal_matrix", lambda *a: chunks.append(
+        a[2]) or normal_matrix(*a))
+    got = evolve(cfgs, traj)
+    assert chunks == [range(0, 28), range(28, 56), range(56, 60)]
+    want = evolve(cfgs, traj, allow_blowup=True)
+    assert chunks[3:] == list(range(60))
+    for a, b in zip(got, want):
+        assert np.array_equal(a.x, b.x)
+
+
+def test_evolve_from_two_threads_equals_serial_runs():
+    # two threads stepping one shape at once must not share step buffers
+    cfgs = [make_cfg(dissipative_cubic(1.0), J=16, n_steps=64, seed=seed)
+            for seed in (1, 2)]
+    traj = np.arange(1024, dtype=np.uint64)
+    want = [evolve([cfg], traj)[0].x for cfg in cfgs]
+    got = [[], []]
+
+    def run(k):
+        for _ in range(5):
+            got[k].append(evolve([cfgs[k]], traj)[0].x)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(2):
+        assert len(got[k]) == 5
+        assert all(np.array_equal(x, want[k]) for x in got[k]), k
+
+
+def test_blas_pins_nest(monkeypatch):
+    counts = [3]
+    monkeypatch.setattr(integrators, "_openblas_threads",
+                        lambda: (lambda: counts[-1], counts.append))
+    with integrators._one_blas_thread():
+        with integrators._one_blas_thread():
+            assert counts == [3, 1]
+        assert counts == [3, 1]  # an inner exit leaves the pin on
+    assert counts == [3, 1, 3]
 
 
 @pytest.mark.parametrize("overflow", [False, True])

@@ -175,6 +175,43 @@ def test_call_allocates_little_beyond_its_result(n_rows):
     assert peak <= 2.5 * x.nbytes, peak / x.nbytes
 
 
+@pytest.mark.parametrize("n_steps", [1, 3, 4, 54])
+def test_range_draw_stacks_the_step_draws(n_steps):
+    # 76 trajectories, neither contiguous nor sorted, one near 2^64
+    t = np.array([5, 3, 900, TOP] + list(range(40, 112, 1)), dtype=np.uint64)
+    t[10] = 12345
+    assert t.size == 76
+    steps = range(17, 17 + n_steps)
+    x = rng.normal_matrix(4, t, steps, 6)
+    assert x.shape == (n_steps, 6, 76)
+    for k, step in enumerate(steps):
+        assert np.array_equal(x[k], rng.normal_matrix(4, t, step, 6)), step
+
+
+def test_range_draw_wraps_past_the_last_step():
+    t = np.arange(5, dtype=np.uint64)
+    x = rng.normal_matrix(2, t, range(TOP - 1, TOP + 2), 3)
+    for k, step in enumerate([TOP - 1, TOP, 0]):
+        assert np.array_equal(x[k], rng.normal_matrix(2, t, step, 3))
+    with pytest.raises(ValueError, match="consecutive"):
+        rng.normal_matrix(2, t, range(0, 4, 2), 3)
+
+
+@pytest.mark.parametrize("tail", [4, 2])
+def test_range_call_allocates_little_beyond_its_result(tail):
+    # after a 4-step warm-up a range of 4, or a tail of 2, reuses its
+    # buffers: new ones would take the peak to 3 times the result
+    t = np.arange(1024, dtype=np.uint64)
+    rng.normal_matrix(1, t, range(0, 4), 16)
+    tracemalloc.start()
+    try:
+        x = rng.normal_matrix(1, t, range(4, 4 + tail), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * x.nbytes, peak / x.nbytes
+
+
 def test_concurrent_draws_equal_serial_ones():
     # threads drawing one shape at once would share one workspace's words;
     # each thread has its own, so every draw is the serial one
