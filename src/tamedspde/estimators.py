@@ -105,7 +105,6 @@ class TestFunctional:
     name: str
     evaluate: callable
     smooth: bool
-    note: str = ""
 
 
 def _phi_exp_neg_l2sq(x):
@@ -121,14 +120,12 @@ def _phi_l2sq(x):
 
 
 EXP_NEG_L2SQ = TestFunctional(
-    name="exp_neg_l2sq", evaluate=_phi_exp_neg_l2sq, smooth=True,
-    note="exp(-|x|^2), bounded with bounded derivatives")
+    name="exp_neg_l2sq", evaluate=_phi_exp_neg_l2sq, smooth=True)
 BOUNDED_MODE1 = TestFunctional(
-    name="bounded_mode1", evaluate=_phi_tanh_mode1, smooth=True,
-    note="tanh of the first mode coefficient")
+    name="bounded_mode1", evaluate=_phi_tanh_mode1, smooth=True)
+# derivative unbounded, kept for its exact oracles
 L2_SQUARED = TestFunctional(
-    name="l2_squared", evaluate=_phi_l2sq, smooth=False,
-    note="squared L2 norm; derivative unbounded, kept for its exact oracles")
+    name="l2_squared", evaluate=_phi_l2sq, smooth=False)
 
 FUNCTIONALS = {f.name: f for f in (EXP_NEG_L2SQ, BOUNDED_MODE1, L2_SQUARED)}
 

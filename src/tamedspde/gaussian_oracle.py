@@ -106,11 +106,8 @@ def linear_scheme_law(cfg) -> ModeGaussian:
             "linear_scheme_law covers the untamed scheme only; the tamed "
             "update is not an affine map of Gaussians")
     a, w = _step_factors(cfg)
-    x0 = cfg.x0.coeffs
-    if x0.ndim != 1:
-        raise ConfigurationError("linear_scheme_law needs an unbatched x0")
     n = cfg.n_steps
-    mean = a ** n * x0
+    mean = a ** n * cfg.x0.coeffs
     a2 = a * a
     # geometric sum of w a^{2k}, k = 0..n-1; a^2 = 1 exactly degenerates to n terms
     flat = a2 == 1.0

@@ -103,9 +103,10 @@ class SchemeConfig:
         if self.cov.n_modes != self.n_modes:
             raise ConfigurationError(
                 f"covariance has {self.cov.n_modes} modes but n_modes={self.n_modes}")
-        if self.x0.n_modes != self.n_modes:
+        if self.x0.coeffs.shape != (self.n_modes,):
             raise ConfigurationError(
-                f"x0 has {self.x0.n_modes} modes but n_modes={self.n_modes}")
+                f"x0 must be an unbatched array of shape ({self.n_modes},), "
+                f"got {self.x0.coeffs.shape}")
 
     @property
     def horizon(self) -> float:
@@ -229,10 +230,6 @@ class PathBatch:
 
     def __init__(self, cfg: SchemeConfig, traj: np.ndarray,
                  allow_blowup: bool = False):
-        if cfg.x0.coeffs.shape != (cfg.n_modes,):
-            raise ConfigurationError(
-                f"initial states must be unbatched arrays of shape "
-                f"({cfg.n_modes},), got {cfg.x0.coeffs.shape}")
         self.cfg, self.traj, self.allow_blowup = cfg, traj, allow_blowup
         self.engine = Engine(cfg)
         self.x = np.repeat(cfg.x0.coeffs[:, None], len(traj), axis=1)
@@ -331,8 +328,8 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     column can differ bitwise with the batch width (seen with OpenBLAS at
     J = 16 and 64), which would tie the pair's bytes to its layout.
     on_state(n, batches) fires for the initial states and after every fine
-    step; once every path of every batch is frozen, nothing is drawn or
-    stepped.
+    step; once every path of every batch is frozen, nothing is stepped and
+    no further chunk is requested, though the one in flight is drawn.
 
     One helper thread draws the normals ahead, K steps per call
     (rng.normal_matrix over a range): while the main thread runs the steps
@@ -342,13 +339,11 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     and at (16, 1024) a draw or a step is 25-40 calls of 10-30 us, so drawn
     one step per call the two threads mostly trade the GIL (1.33 ms per
     draw-and-step pair against 1.44 ms serially, on a 2-core Xeon VM);
-    K times longer calls overlap.  Under allow_blowup the main thread
-    draws each step itself, as a step may freeze the last live path, after
-    which nothing may be drawn.  For the length of the call numpy's bundled
-    OpenBLAS, when found, runs on one thread, so the helper has the other
-    core; the previous count is restored on return or raise, once the last
-    of any overlapping calls ends.  Calls on several threads at once share
-    no buffer.
+    K times longer calls overlap.  For the length of the call numpy's
+    bundled OpenBLAS, when found, runs on one thread, so the helper has the
+    other core; the previous count is restored on return or raise, once the
+    last of any overlapping calls ends.  Calls on several threads at once
+    share no buffer.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1
@@ -381,19 +376,15 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
             on_state(0, batches)
         # the helper draws every step, step 0 included, so the main thread
         # builds no rng workspace of its own
-        ahead = (helper.submit(draw, 0)
-                 if fine.n_steps and not allow_blowup else None)
+        ahead = helper.submit(draw, 0) if fine.n_steps else None
         for j in range(fine.n_steps):
             if any((paths.blowup < 0).any() for paths in batches):
-                if allow_blowup:
-                    g = rng.normal_matrix(fine.seed, traj, j, fine.n_modes)
-                else:
-                    if j % per_call == 0:
-                        chunk = ahead.result()
-                        ahead = (helper.submit(draw, j + per_call)
-                                 if j + per_call < fine.n_steps else None)
-                    g = chunk[j % per_call]
-                noise = batches[-1].engine.noise_from_gaussians(g)
+                if j % per_call == 0:
+                    chunk = ahead.result()
+                    ahead = (helper.submit(draw, j + per_call)
+                             if j + per_call < fine.n_steps else None)
+                noise = batches[-1].engine.noise_from_gaussians(
+                    chunk[j % per_call])
                 for paths, r, acc in zip(batches, ratios, sums):
                     if r == 1:
                         acc = noise

@@ -435,9 +435,9 @@ def test_overflow_names_trajectory_and_step(study):
 
 @pytest.mark.parametrize("study", ["moment-growth", "ergodic"])
 def test_batched_x0_is_a_configuration_error(study):
-    cfg = make_cfg(zero(), x0=spectral.SpectralField(np.zeros((8, 2))))
     with pytest.raises(ConfigurationError):
-        _STUDIES[study](cfg)
+        _STUDIES[study](
+            make_cfg(zero(), x0=spectral.SpectralField(np.zeros((8, 2)))))
 
 
 # --- worker-count invariance --------------------------------------------------------------

@@ -246,10 +246,10 @@ def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
     monkeypatch.setattr(integrators, "_openblas_threads", lambda: None)
     runs.append(evolve(cfgs, traj))
     assert on_main and not any(on_main)  # every draw on the helper
-    # allow_blowup draws each step on the main thread
+    # allow_blowup draws on the helper too, the same chunk and tail
     del on_main[:]
     runs.append(evolve(cfgs, traj, allow_blowup=True))
-    assert on_main == [True] * 6
+    assert on_main == [False, False]
     for batches in runs[1:]:
         for got, want in zip(batches, runs[0]):
             assert np.array_equal(got.x, want.x)
@@ -258,7 +258,7 @@ def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
 @pytest.mark.parametrize("mode", ["increment", "exact"])
 def test_chunked_draws_with_a_tail_equal_per_step_draws(monkeypatch, mode):
     # 8 x 300 normals per step: chunks of 28 steps, so 60 steps end on a
-    # tail of 4; the per-step draws of allow_blowup are the reference
+    # tail of 4; a chunk of one normal, so one step per draw, is the reference
     fine = make_cfg(dissipative_cubic(1.0), J=8, n_steps=60, seed=3,
                     mode=mode)
     cfgs = [replace(fine, dt=3 * fine.dt, n_steps=20), fine]
@@ -268,8 +268,9 @@ def test_chunked_draws_with_a_tail_equal_per_step_draws(monkeypatch, mode):
         a[2]) or normal_matrix(*a))
     got = evolve(cfgs, traj)
     assert chunks == [range(0, 28), range(28, 56), range(56, 60)]
-    want = evolve(cfgs, traj, allow_blowup=True)
-    assert chunks[3:] == list(range(60))
+    monkeypatch.setattr(integrators, "_CHUNK_NORMALS", 1)
+    want = evolve(cfgs, traj)
+    assert chunks[3:] == [range(j, j + 1) for j in range(60)]
     for a, b in zip(got, want):
         assert np.array_equal(a.x, b.x)
 
@@ -365,11 +366,9 @@ def test_simulate_zero_drift_is_pure_noise_recursion():
 
 
 def test_simulate_rejects_batched_x0():
-    cfg = make_cfg(zero(), x0=SpectralField(np.zeros((6, 2))))
-    with pytest.raises(ConfigurationError):
-        path_norms(cfg, 2)
-    with pytest.raises(ConfigurationError):
-        evolve([cfg], _traj(0))
+    # the configuration itself rejects it, before any study steps it
+    with pytest.raises(ConfigurationError, match=r"\(6,\), got \(6, 2\)"):
+        path_norms(make_cfg(zero(), x0=SpectralField(np.zeros((6, 2)))), 2)
 
 
 def test_tamed_overflow_names_step_and_trajectory():
@@ -397,20 +396,21 @@ def test_untamed_blowup_truncates_record():
 
 def test_dead_paths_are_not_stepped(monkeypatch):
     # configs/blowup.yaml: all 100 paths are dead at state 7 of 200; the
-    # later states repeat the frozen ones without drawing or stepping
+    # later states repeat the frozen ones without stepping, and no chunk is
+    # drawn after the one in flight (41 steps of 16 x 100 hold 2^16 normals)
     cfg = parse_config(str(_CONFIGS / "blowup.yaml")).scheme
     calls, draws = [], []
     step, normal_matrix = Engine.step, rng.normal_matrix
     monkeypatch.setattr(Engine, "step",
                         lambda e, x, g: calls.append(1) or step(e, x, g))
     monkeypatch.setattr(rng, "normal_matrix",
-                        lambda *a: draws.append(1) or normal_matrix(*a))
+                        lambda *a: draws.append(a[2]) or normal_matrix(*a))
     states = []
     paths, = evolve([cfg], _traj(*range(100)),
                     on_state=lambda n, batches: states.append(batches[0].x),
                     allow_blowup=True)
     assert len(calls) == 7
-    assert len(draws) == 7
+    assert draws == [range(0, 41), range(41, 82)]
     assert paths.blowup.tolist() == [7] * 100
     assert len(states) == cfg.n_steps + 1
     assert all(np.array_equal(s, states[6]) for s in states[7:])
