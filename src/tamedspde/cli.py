@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -152,12 +152,9 @@ def _run_ergodic(cfg: ExperimentConfig):
 
 
 def _run_contraction(cfg: ExperimentConfig):
-    p = cfg.params
     scheme = cfg.scheme
-    x0_a = build_x0(p["x0_a"], scheme.n_modes, scheme.n_nodes)
-    x0_b = build_x0(p["x0_b"], scheme.n_modes, scheme.n_nodes)
-    study = contraction_rate(replace(scheme, x0=x0_a), x0_b, cfg.n_paths,
-                             cfg.workers)
+    x0_b = build_x0(cfg.params["x0_b"], scheme.n_modes, scheme.n_nodes)
+    study = contraction_rate(scheme, x0_b, cfg.n_paths, cfg.workers)
     rows = [(i, r) for i, r in enumerate(study.per_path_rates)]
     summary = {"rate": study.rate, "ci_low": study.ci_low,
                "ci_high": study.ci_high, "n_paths": study.n_paths,

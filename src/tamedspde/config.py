@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 from . import nonlinearity as nl_mod
@@ -169,8 +170,8 @@ def _read(where: str, value, convert):
 def _fill(section: str, given: dict, table: dict, run=None) -> dict:
     """given with every default of table filled in and every value converted.
 
-    A callable default is computed from run (the run length, the model's x0
-    and its built covariance and nonlinearity); _REQUIRED means the key has
+    A callable default is computed from run (the run length and the model's
+    built covariance and nonlinearity); _REQUIRED means the key has
     no default.
     """
     _check_keys(section, given, table)
@@ -269,10 +270,7 @@ _PARAMS = {
         "functional": ("l2_squared", _one_of(*FUNCTIONALS)),
         "burn_in": (lambda run: run["length"] / 5.0, _float),
     },
-    "contraction": {
-        "x0_a": (lambda run: run["x0"], _X0),
-        "x0_b": ("zero", _X0),
-    },
+    "contraction": {"x0_b": ("zero", _X0)},
     "cost-curve": {
         "alpha": (_REQUIRED, _float),
         "regularity": (lambda run: noise_mod.classify_regularity(
@@ -301,7 +299,7 @@ def build_covariance(spec, n_modes: int) -> noise_mod.CovarianceSpec:
     return _COVARIANCE.build("model.covariance", spec, n_modes)
 
 
-def build_x0(spec, n_modes: int, n_nodes: int) -> spectral.SpectralField:
+def build_x0(spec, n_modes: int, n_nodes: int) -> np.ndarray:
     return _X0.build("model.x0", spec, n_modes, n_nodes)
 
 
@@ -375,8 +373,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
     n_steps = disc["n_steps"] if horizon is None else _read(
         "discretization.horizon", horizon, lambda h: whole_steps(h, dt))
     params = _fill("params", params_given, _PARAMS[experiment],
-                   {"length": n_steps * dt, "x0": model["x0"], "cov": cov,
-                    "nl": nl})
+                   {"length": n_steps * dt, "cov": cov, "nl": nl})
 
     sampling = _fill("sampling", given["sampling"], _SAMPLING)
     output = _fill("output", given["output"], _OUTPUT)

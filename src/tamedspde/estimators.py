@@ -498,15 +498,15 @@ def contraction_rate(cfg: SchemeConfig, x0_b, n_paths: int,
                      workers: int = 1) -> ContractionStudy:
     """Decay rate of the L2 distance between paths from cfg.x0 and from
     x0_b, driven by shared noise."""
-    a, b = cfg.x0.coeffs, x0_b.coeffs
+    pair = [cfg, replace(cfg, x0=x0_b)]
+    a, b = cfg.x0, pair[1].x0
     if np.array_equal(a, b):
         raise ConfigurationError(
             "x0 and x0_b coincide; the coupled distance is identically zero")
     if cfg.n_steps < 2:
         raise ConfigurationError("need n_steps >= 2 to fit a decay rate")
-    slopes, n_pts = _map_blocks(
-        partial(_contraction_block, pair=[cfg, replace(cfg, x0=x0_b)]),
-        n_paths, workers)
+    slopes, n_pts = _map_blocks(partial(_contraction_block, pair=pair),
+                                n_paths, workers)
     keep = n_pts >= 2
     if not keep.any():
         raise ConfigurationError(

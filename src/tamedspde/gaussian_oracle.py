@@ -107,7 +107,7 @@ def linear_scheme_law(cfg) -> ModeGaussian:
             "update is not an affine map of Gaussians")
     a, w = _step_factors(cfg)
     n = cfg.n_steps
-    mean = a ** n * cfg.x0.coeffs
+    mean = a ** n * cfg.x0
     a2 = a * a
     # geometric sum of w a^{2k}, k = 0..n-1; a^2 = 1 exactly degenerates to n terms
     flat = a2 == 1.0

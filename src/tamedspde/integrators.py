@@ -47,8 +47,7 @@ from . import rng
 from .errors import ConfigurationError, TamingBoundViolation, TrajectoryOverflow
 from .noise import CovarianceSpec, increment_scale, stationary_step_scale
 from .nonlinearity import Nonlinearity
-from .spectral import (SpectralField, phi1_factors, semigroup_factors,
-                       sine_matrix)
+from .spectral import phi1_factors, semigroup_factors, sine_matrix
 
 _NOISE_MODES = ("increment", "exact")
 
@@ -67,7 +66,8 @@ class SchemeConfig:
     """Everything one trajectory needs: model, grid, step count, seed.
 
     dt must lie in (0, dt_max]; the cap is part of the configuration so a
-    run can declare the step-size regime its claims are valid in.
+    run can declare the step-size regime its claims are valid in.  x0, the
+    start's sine coefficients, is a finite float64 (n_modes,) array.
     """
 
     n_modes: int
@@ -76,7 +76,7 @@ class SchemeConfig:
     n_steps: int
     cov: CovarianceSpec
     nl: Nonlinearity
-    x0: SpectralField
+    x0: np.ndarray
     seed: int = 0
     taming: bool = True
     dt_max: float = 0.5
@@ -103,10 +103,14 @@ class SchemeConfig:
         if self.cov.n_modes != self.n_modes:
             raise ConfigurationError(
                 f"covariance has {self.cov.n_modes} modes but n_modes={self.n_modes}")
-        if self.x0.coeffs.shape != (self.n_modes,):
+        x0 = np.asarray(self.x0, dtype=np.float64)
+        if x0.shape != (self.n_modes,):
             raise ConfigurationError(
                 f"x0 must be an unbatched array of shape ({self.n_modes},), "
-                f"got {self.x0.coeffs.shape}")
+                f"got {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ConfigurationError("x0 must be finite")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def horizon(self) -> float:
@@ -232,7 +236,7 @@ class PathBatch:
                  allow_blowup: bool = False):
         self.cfg, self.traj, self.allow_blowup = cfg, traj, allow_blowup
         self.engine = Engine(cfg)
-        self.x = np.repeat(cfg.x0.coeffs[:, None], len(traj), axis=1)
+        self.x = np.repeat(cfg.x0[:, None], len(traj), axis=1)
         self.blowup = np.full(len(traj), -1, dtype=np.int64)
         self.n = 0
 

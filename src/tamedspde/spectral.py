@@ -2,9 +2,9 @@
 
 The basis functions are e_n(x) = sqrt(2) sin(n pi x) with eigenvalues
 lambda_n = (n pi)^2 for the operator d^2/dx^2 with zero boundary values.
-A field is represented by its first J sine coefficients
-(:class:`SpectralField`); the reaction is evaluated at the interior
-collocation nodes x_k = k / (M + 1), k = 1..M.
+A field is the float64 array of its first J sine coefficients, shape (J,);
+the reaction is evaluated at the interior collocation nodes
+x_k = k / (M + 1), k = 1..M.
 
 The one transform is S = ``sine_matrix(J, M)``: ``S @ a`` synthesizes node
 values and ``S.T @ v`` times the node weight 1/(M+1) projects them back, the
@@ -18,7 +18,6 @@ one field, (J, B) is a batch of B fields sharing operations elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,40 +64,20 @@ def sine_matrix(n_modes: int, n_nodes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """A field given by sine coefficients, shape (J,) or (J, batch)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=np.float64)
-        if a.ndim not in (1, 2) or a.shape[0] < 1:
-            raise ConfigurationError(
-                f"coeffs must have shape (n,) or (n, batch) with n >= 1, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ConfigurationError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", a)
-
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[0]
+def zero_field(n_modes: int) -> np.ndarray:
+    return np.zeros(n_modes)
 
 
-def zero_field(n_modes: int) -> SpectralField:
-    return SpectralField(np.zeros(n_modes))
-
-
-def unit_mode(n_modes: int, mode: int, amplitude: float = 1.0) -> SpectralField:
+def unit_mode(n_modes: int, mode: int, amplitude: float = 1.0) -> np.ndarray:
     """amplitude * e_mode truncated to n_modes coefficients."""
     if not 1 <= mode <= n_modes:
         raise ConfigurationError(f"mode must be in 1..{n_modes}, got {mode}")
     coeffs = np.zeros(n_modes)
     coeffs[mode - 1] = amplitude
-    return SpectralField(coeffs)
+    return coeffs
 
 
-def multi_mode(n_modes: int, amplitude: float = 1.0, rate: float = 2.0) -> SpectralField:
+def multi_mode(n_modes: int, amplitude: float = 1.0, rate: float = 2.0) -> np.ndarray:
     """Alternating profile amplitude * (-1)^(n+1) * n^(-rate) over all modes.
 
     rate > 1 keeps the coefficients absolutely summable, hence the profile
@@ -107,11 +86,11 @@ def multi_mode(n_modes: int, amplitude: float = 1.0, rate: float = 2.0) -> Spect
     if rate <= 1:
         raise ConfigurationError(f"rate must be > 1 for a bounded profile, got {rate}")
     n = np.arange(1, n_modes + 1, dtype=np.float64)
-    return SpectralField(amplitude * (-1.0) ** (n + 1) * n ** (-rate))
+    return amplitude * (-1.0) ** (n + 1) * n ** (-rate)
 
 
 def bump_profile(n_modes: int, n_nodes: int, center: float = 0.5,
-                 width: float = 0.1, amplitude: float = 1.0) -> SpectralField:
+                 width: float = 0.1, amplitude: float = 1.0) -> np.ndarray:
     """Gaussian bump exp(-((x - center)/width)^2), projected onto n_modes."""
     if not 0.0 < center < 1.0:
         raise ConfigurationError(f"center must be in (0, 1), got {center}")
@@ -122,8 +101,7 @@ def bump_profile(n_modes: int, n_nodes: int, center: float = 0.5,
             f"n_modes={n_modes} must be <= n_nodes={n_nodes}")
     x = collocation_nodes(n_nodes)
     values = amplitude * np.exp(-(((x - center) / width) ** 2))
-    return SpectralField((sine_matrix(n_modes, n_nodes).T @ values)
-                         / (n_nodes + 1))
+    return (sine_matrix(n_modes, n_nodes).T @ values) / (n_nodes + 1)
 
 
 def semigroup_factors(n_modes: int, t: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from tamedspde import rng
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.nonlinearity import Nonlinearity
-from tamedspde.spectral import SpectralField, sine_matrix
+from tamedspde.spectral import sine_matrix
 
 
 def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
@@ -58,10 +58,10 @@ def step_discrete_convolution(state: np.ndarray, increment: np.ndarray,
     return decay_factors * (state + increment)
 
 
-def _node_values(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> np.ndarray:
+def _node_values(x: np.ndarray, nl: Nonlinearity, n_nodes: int) -> np.ndarray:
     # overflow is detected by the isfinite check below, not by the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(nl.f(sine_matrix(x.n_modes, n_nodes) @ x.coeffs),
+        fx = np.asarray(nl.f(sine_matrix(x.shape[0], n_nodes) @ x),
                         dtype=np.float64)
     if not np.all(np.isfinite(fx)):
         raise TrajectoryOverflow(
@@ -69,7 +69,7 @@ def _node_values(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> np.ndarray
     return fx
 
 
-def apply_nemytskii(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> SpectralField:
+def apply_nemytskii(x: np.ndarray, nl: Nonlinearity, n_nodes: int) -> np.ndarray:
     """Coefficients of f(x(.)) truncated to x's mode count.
 
     Evaluation is pseudo-spectral, in the engine's form: synthesize to
@@ -78,11 +78,10 @@ def apply_nemytskii(x: SpectralField, nl: Nonlinearity, n_nodes: int) -> Spectra
     TrajectoryOverflow rather than propagating NaN.
     """
     fx = _node_values(x, nl, n_nodes)
-    return SpectralField((sine_matrix(x.n_modes, n_nodes).T @ fx)
-                         * (1.0 / (n_nodes + 1)))
+    return (sine_matrix(x.shape[0], n_nodes).T @ fx) * (1.0 / (n_nodes + 1))
 
 
-def drift_norm(x: SpectralField, nl: Nonlinearity, n_nodes: int):
+def drift_norm(x: np.ndarray, nl: Nonlinearity, n_nodes: int):
     """Node-quadrature L2 norm of f(x(.)), the taming denominator input,
     summed and then weighted as the engine does."""
     fx = _node_values(x, nl, n_nodes)

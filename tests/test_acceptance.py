@@ -134,7 +134,7 @@ def test_zero_drift_reduces_to_discrete_convolution():
            on_state=lambda idx, batches: states.append(batches[0].x.copy()))
     identical = len(states) == cfg.n_steps + 1
     for i in range(3):
-        z = cfg.x0.coeffs.copy()
+        z = cfg.x0.copy()
         for n in range(cfg.n_steps):
             g = rng.normal_matrix(cfg.seed, traj[i:i + 1], n, cfg.n_modes)
             z = step_discrete_convolution(z, scale * g[:, 0], decay)
@@ -329,8 +329,7 @@ _DETERMINISM_CONFIGS = {
                   "n_modes": 16, "n_nodes": 64},
         "discretization": {"dt": 0.01, "n_steps": 500},
         "sampling": {"n_paths": 1100, "seed": 0},
-        "params": {"x0_a": {"kind": "unit_mode", "mode": 1},
-                   "x0_b": {"kind": "zero"}},
+        "params": {"x0_b": {"kind": "zero"}},
         "output": {"formats": ["csv"]},
     },
     "ergodic": {

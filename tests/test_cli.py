@@ -195,6 +195,25 @@ def test_non_finite_reaction_coefficient_exits_2(tmp_path, capsys,
     assert "finite" in err
 
 
+@pytest.mark.parametrize("experiment, x0, params", [
+    ("simulate", {"kind": "unit_mode", "amplitude": float("inf")}, {}),
+    ("simulate", {"kind": "multi_mode", "amplitude": float("nan")}, {}),
+    ("contraction", "unit_mode",
+     {"x0_b": {"kind": "unit_mode", "amplitude": float("inf")}}),
+])
+def test_non_finite_start_exits_2(tmp_path, capsys, experiment, x0, params):
+    cfg = write_config(tmp_path, experiment=experiment,
+                       model={"nonlinearity": "zero", "covariance": "white",
+                              "x0": x0},
+                       params=params)
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert "finite" in err
+    assert not (out / f"{experiment}.csv").exists()
+
+
 def test_empty_ergodic_window_exits_2(tmp_path, capsys):
     # the burn-in is below the horizon, but within the grid tolerance of
     # the last state, so no state is left to average
@@ -297,7 +316,7 @@ _PINNED_CSV = {
         "a2217c9e119b62efdb5c1598960b70467fae1bbf5ce5245abe60bab90f038069"),
     "contraction": (
         {"discretization": {"dt": 0.05, "n_steps": 20},
-         "params": {"x0_a": {"kind": "multi_mode"}}},
+         "model": {"x0": {"kind": "multi_mode"}}},
         "d046738961690d8313299ef7c22bdaa363438173ca7b8e328d03e359a317bea3"),
 }
 
@@ -313,10 +332,10 @@ _PINNED_JSON = {
 
 
 def _pinned_run(tmp_path, experiment) -> Path:
-    sections, _ = _PINNED_CSV[experiment]
-    cfg = write_config(tmp_path, experiment=experiment,
-                       model={"nonlinearity": "zero", "covariance": "white",
-                              "n_modes": 4, "n_nodes": 16},
+    sections = dict(_PINNED_CSV[experiment][0])
+    model = {"nonlinearity": "zero", "covariance": "white", "n_modes": 4,
+             "n_nodes": 16, **sections.pop("model", {})}
+    cfg = write_config(tmp_path, experiment=experiment, model=model,
                        sampling={"n_paths": 1100, "seed": 7}, **sections)
     out = tmp_path / "out"
     assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 0

@@ -24,7 +24,7 @@ def test_minimal_config_fills_defaults():
     assert s.taming and s.noise_mode == "increment"
     assert s.cov.kind == "white"
     assert s.nl.name == "zero"
-    assert s.x0.coeffs[0] == 1.0 and np.all(s.x0.coeffs[1:] == 0.0)
+    assert s.x0[0] == 1.0 and np.all(s.x0[1:] == 0.0)
     assert (cfg.n_paths, cfg.workers) == (100, 1)
     assert cfg.out_dir == "out"
     assert cfg.formats == ("csv", "json", "gnuplot")
@@ -53,6 +53,9 @@ def test_unknown_keys_named_in_errors():
         ({**MINIMAL, "sampling": {"paths": 10}}, "paths"),
         ({**MINIMAL, "output": {"dir": "x"}}, "dir"),
         ({**MINIMAL, "params": {"power": 2}}, "power"),  # not a simulate key
+        # the first contraction start is model.x0, set in one place
+        ({**MINIMAL, "experiment": "contraction",
+          "params": {"x0_a": {"kind": "zero"}}}, "x0_a"),
         ({**MINIMAL, "model": {"nonlinearity": {"name": "linear", "slope": 2},
                                "covariance": "white"}}, "slope"),
     ]
@@ -176,9 +179,8 @@ def test_contraction_x0_defaults():
         "model": {"nonlinearity": "zero", "covariance": "white",
                   "x0": {"kind": "unit_mode", "amplitude": 2.0}},
     })
-    assert cfg.params["x0_a"] == {"kind": "unit_mode", "mode": 1,
-                                  "amplitude": 2.0}
-    assert cfg.params["x0_b"] == {"kind": "zero"}
+    assert np.array_equal(cfg.scheme.x0, 2.0 * np.eye(64)[0])
+    assert cfg.params == {"x0_b": {"kind": "zero"}}
 
 
 def test_cost_curve_params():
@@ -242,7 +244,7 @@ def test_builders_produce_model_objects():
     cov = build_covariance({"kind": "power_decay", "decay": 3.0}, 4)
     assert cov.decay == 3.0
     x0 = build_x0({"kind": "bump", "center": 0.5, "width": 0.1}, 32, 128)
-    assert x0.n_modes == 32
+    assert x0.shape == (32,)
 
 
 @pytest.mark.parametrize("nonlinearity, covariance, expected", [

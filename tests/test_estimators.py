@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tamedspde import estimators, noise, rng, spectral
+from tamedspde import estimators, noise, rng
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
 from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   L2_SQUARED, MCEstimate, contraction_rate,
@@ -403,7 +403,7 @@ def test_final_mode_statistics_match_gaussian_law():
                    x0=unit_mode(4, 1, 2.0), cov=noise.white(4))
     paths, = evolve([cfg], np.arange(4000, dtype=np.uint64))
     mean, mean_se, var, var_se = mode_statistics(paths.x)
-    mean_want = semigroup_factors(4, 0.05) ** 10 * cfg.x0.coeffs
+    mean_want = semigroup_factors(4, 0.05) ** 10 * cfg.x0
     var_want = linear_scheme_law(cfg).variance
     assert np.all(np.abs(mean - mean_want) < 4.0 * mean_se)
     assert np.all(np.abs(var - var_want) < 4.0 * var_se)
@@ -436,8 +436,7 @@ def test_overflow_names_trajectory_and_step(study):
 @pytest.mark.parametrize("study", ["moment-growth", "ergodic"])
 def test_batched_x0_is_a_configuration_error(study):
     with pytest.raises(ConfigurationError):
-        _STUDIES[study](
-            make_cfg(zero(), x0=spectral.SpectralField(np.zeros((8, 2)))))
+        _STUDIES[study](make_cfg(zero(), x0=np.zeros((8, 2))))
 
 
 # --- worker-count invariance --------------------------------------------------------------

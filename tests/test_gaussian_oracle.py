@@ -59,7 +59,7 @@ def law_by_recursion(cfg):
         w = np.exp(-2.0 * lam * cfg.dt) * cfg.cov.mode_weights * cfg.dt
     else:
         w = cfg.cov.mode_weights * (1.0 - np.exp(-2.0 * lam * cfg.dt)) / (2.0 * lam)
-    mean = cfg.x0.coeffs.copy()
+    mean = cfg.x0.copy()
     var = np.zeros_like(mean)
     for _ in range(cfg.n_steps):
         mean = a * mean
@@ -163,7 +163,7 @@ def test_scheme_law_matches_recursion(c, dt, n, mode):
 def test_scheme_law_zero_steps():
     cfg = make_cfg(1.0, 0.1, "increment", n_steps=0)
     law = linear_scheme_law(cfg)
-    assert np.array_equal(law.mean, cfg.x0.coeffs)
+    assert np.array_equal(law.mean, cfg.x0)
     assert np.all(law.variance == 0.0)
 
 

@@ -29,7 +29,7 @@ from tamedspde.gaussian_oracle import linear_scheme_law
 from tamedspde.integrators import Engine, SchemeConfig, evolve
 from tamedspde.nonlinearity import (allen_cahn, dissipative_cubic, linear,
                                     polynomial, zero)
-from tamedspde.spectral import SpectralField, unit_mode
+from tamedspde.spectral import unit_mode
 
 from reference import (apply_nemytskii, drift_norm, mode_statistics,
                        step_discrete_convolution)
@@ -45,9 +45,9 @@ def manual_step(cfg, x, noise_term):
         if cfg.noise_mode == "increment":
             return decay * (x + noise_term)
         return decay * x + noise_term
-    coeffs = apply_nemytskii(SpectralField(x), cfg.nl, cfg.n_nodes).coeffs
+    coeffs = apply_nemytskii(x, cfg.nl, cfg.n_nodes)
     if cfg.taming:
-        norm = drift_norm(SpectralField(x), cfg.nl, cfg.n_nodes)
+        norm = drift_norm(x, cfg.nl, cfg.n_nodes)
         drift = gain * coeffs / (1.0 + cfg.dt * norm)
         if cfg.noise_mode == "increment":
             return decay * (x + noise_term) + drift
@@ -141,7 +141,7 @@ def test_drift_headroom_matches_quotient_bound():
     # || P1 F / (1 + dt ||F||) || <= dt ||F|| / (1 + dt ||F||), since P1 <= dt
     cfg = make_cfg(dissipative_cubic(0.0), x0=unit_mode(6, 1, 5.0))
     engine = Engine(cfg)
-    engine.step(cfg.x0.coeffs, np.zeros(6))
+    engine.step(cfg.x0, np.zeros(6))
     fnorm = drift_norm(cfg.x0, cfg.nl, cfg.n_nodes)
     bound = cfg.dt * fnorm / (1.0 + cfg.dt * fnorm)
     assert engine.last_drift_l2 <= bound * (1.0 + 1e-12)
@@ -190,7 +190,7 @@ def test_evolve_step_matches_engine():
     paths, = evolve([cfg], _traj(0))
     engine = Engine(cfg)
     g = rng.normal_matrix(3, _traj(0), 0, 6)
-    want = engine.step(cfg.x0.coeffs[:, None], engine.noise_from_gaussians(g))
+    want = engine.step(cfg.x0[:, None], engine.noise_from_gaussians(g))
     assert np.array_equal(paths.x, want)
 
 
@@ -350,7 +350,7 @@ def test_simulate_zero_steps():
     rec = path_norms(cfg, 2)
     assert rec.times.shape == (1,)
     paths, = evolve([cfg], _traj(0))
-    assert np.array_equal(paths.x[:, 0], cfg.x0.coeffs)
+    assert np.array_equal(paths.x[:, 0], cfg.x0)
 
 
 def test_simulate_zero_drift_is_pure_noise_recursion():
@@ -358,7 +358,7 @@ def test_simulate_zero_drift_is_pure_noise_recursion():
     paths, = evolve([cfg], _traj(2))
     decay = spectral.semigroup_factors(4, cfg.dt)
     scale = noise.increment_scale(cfg.cov, cfg.dt)
-    x = cfg.x0.coeffs.copy()
+    x = cfg.x0.copy()
     for n in range(8):
         inc = scale * rng.normal_matrix(7, _traj(2), n, 4)[:, 0]
         x = step_discrete_convolution(x, inc, decay)
@@ -368,7 +368,7 @@ def test_simulate_zero_drift_is_pure_noise_recursion():
 def test_simulate_rejects_batched_x0():
     # the configuration itself rejects it, before any study steps it
     with pytest.raises(ConfigurationError, match=r"\(6,\), got \(6, 2\)"):
-        path_norms(make_cfg(zero(), x0=SpectralField(np.zeros((6, 2)))), 2)
+        path_norms(make_cfg(zero(), x0=np.zeros((6, 2))), 2)
 
 
 def test_tamed_overflow_names_step_and_trajectory():
@@ -432,7 +432,7 @@ def test_coupled_pair_difference_sees_no_noise():
     a, b = unit_mode(4, 1, 2.0), unit_mode(4, 1, -1.0)
     pa, pb = evolve([replace(cfg, x0=a), replace(cfg, x0=b)], _traj(0))
     decay = spectral.semigroup_factors(4, cfg.dt)
-    assert np.allclose((pa.x - pb.x)[:, 0], decay ** 10 * (a.coeffs - b.coeffs),
+    assert np.allclose((pa.x - pb.x)[:, 0], decay ** 10 * (a - b),
                        rtol=1e-9, atol=1e-15)
 
 
@@ -456,8 +456,7 @@ def test_coupled_pair_validation():
     with pytest.raises(ConfigurationError):
         evolve([replace(cfg, x0=unit_mode(5, 1)), cfg], _traj(0))
     with pytest.raises(ConfigurationError):
-        evolve([replace(cfg, x0=SpectralField(np.zeros((6, 2)))), cfg],
-               _traj(0))
+        evolve([replace(cfg, x0=np.zeros((6, 2))), cfg], _traj(0))
 
 
 def test_blowup_freezes_only_its_own_configuration():
@@ -553,8 +552,15 @@ def test_config_rejects_bad_fields():
         SchemeConfig(**{**ok, "noise_mode": "euler"})
     with pytest.raises(ConfigurationError):
         SchemeConfig(**{**ok, "cov": noise.white(5)})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"\(4,\), got \(5,\)"):
         SchemeConfig(**{**ok, "x0": unit_mode(5, 1)})
+    with pytest.raises(ConfigurationError, match=r"\(4,\), got \(2, 2, 2\)"):
+        SchemeConfig(**{**ok, "x0": np.zeros((2, 2, 2))})
+    with pytest.raises(ConfigurationError, match=r"\(4,\), got \(\)"):
+        SchemeConfig(**{**ok, "x0": np.float64(1.0)})
+    with pytest.raises(ConfigurationError, match="x0 must be finite"):
+        SchemeConfig(**{**ok, "x0": np.array([1.0, np.nan, 0.0, 0.0])})
+    assert SchemeConfig(**{**ok, "x0": [1, 0, 0, 0]}).x0.dtype == np.float64
 
 
 def test_config_dt_max_boundary_and_horizon():

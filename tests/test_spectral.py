@@ -53,18 +53,18 @@ def engine(n_modes, n_nodes):
 
 def test_synthesize_first_mode_three_nodes():
     # sqrt(2) sin(pi k/4), k=1..3 -> (1, sqrt 2, 1)
-    values = engine(1, 3).basis @ spectral.unit_mode(1, 1).coeffs
+    values = engine(1, 3).basis @ spectral.unit_mode(1, 1)
     assert values == pytest.approx([1.0, math.sqrt(2.0), 1.0], rel=1e-14)
 
 
 def test_synthesize_zero_field():
-    assert np.all(engine(4, 16).basis @ spectral.zero_field(4).coeffs == 0.0)
+    assert np.all(engine(4, 16).basis @ spectral.zero_field(4) == 0.0)
 
 
 def test_synthesize_top_mode_is_pure_sine():
     j = 6
     x = spectral.collocation_nodes(25)
-    values = engine(j, 25).basis @ spectral.unit_mode(j, j).coeffs
+    values = engine(j, 25).basis @ spectral.unit_mode(j, j)
     assert values == pytest.approx(np.sqrt(2) * np.sin(j * np.pi * x), rel=1e-13)
 
 
@@ -122,13 +122,13 @@ def test_semigroup_rejects_negative_time():
 
 def test_semigroup_l2_contraction():
     rng = np.random.default_rng(3)
-    f = spectral.SpectralField(rng.standard_normal(16))
+    f = rng.standard_normal(16)
     t = 0.03
     decay = spectral.semigroup_factors(16, t)
     l2 = lambda c: math.sqrt((c * c).sum())
-    assert l2(decay * f.coeffs) <= math.exp(-PI2 * t) * l2(f.coeffs)
+    assert l2(decay * f) <= math.exp(-PI2 * t) * l2(f)
     # equality when only the first mode is populated
-    one = decay * spectral.unit_mode(16, 1, 2.5).coeffs
+    one = decay * spectral.unit_mode(16, 1, 2.5)
     assert l2(one) == pytest.approx(math.exp(-PI2 * t) * 2.5, rel=1e-14)
 
 
@@ -192,7 +192,7 @@ def test_lp_norm_of_first_mode_grid():
 
 def test_sup_norm_of_first_mode_grid():
     # M odd puts a node exactly at x = 1/2 where sqrt(2) sin(pi x) peaks
-    got = _state_norm("sup", spectral.unit_mode(1, 1).coeffs, engine(1, 63))
+    got = _state_norm("sup", spectral.unit_mode(1, 1), engine(1, 63))
     assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
@@ -233,20 +233,24 @@ def test_multi_mode_requires_summable_rate():
     with pytest.raises(ConfigurationError):
         spectral.multi_mode(8, rate=1.0)
     f = spectral.multi_mode(8, amplitude=2.0, rate=2.0)
-    assert f.coeffs[0] == 2.0
-    assert f.coeffs[1] == pytest.approx(-0.5)
+    assert f[0] == 2.0
+    assert f[1] == pytest.approx(-0.5)
 
 
 def test_bump_profile_roughly_centered():
     f = spectral.bump_profile(32, 128, center=0.5, width=0.1, amplitude=1.0)
-    values = engine(32, 129).basis @ f.coeffs  # odd M -> node at 1/2
+    values = engine(32, 129).basis @ f  # odd M -> node at 1/2
     mid = values[64]
     assert mid == pytest.approx(1.0, abs=0.02)
     assert abs(values[0]) < 0.01 and abs(values[-1]) < 0.01
 
 
+
 def test_fields_reject_non_finite():
-    with pytest.raises(ConfigurationError):
-        spectral.SpectralField(np.array([1.0, np.nan]))
-    with pytest.raises(ConfigurationError):
-        spectral.SpectralField(np.zeros((2, 2, 2)))
+    # a field is a bare coefficient array; SchemeConfig is where one is checked
+    ok = dict(n_modes=2, n_nodes=8, dt=0.1, n_steps=1, cov=noise.white(2), nl=zero())
+    SchemeConfig(**ok, x0=np.array([1.0, 0.0]))
+    with pytest.raises(ConfigurationError, match="finite"):
+        SchemeConfig(**ok, x0=np.array([1.0, np.nan]))
+    with pytest.raises(ConfigurationError, match=r"got \(2, 2, 2\)"):
+        SchemeConfig(**ok, x0=np.zeros((2, 2, 2)))
