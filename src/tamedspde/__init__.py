@@ -16,10 +16,10 @@ from .gaussian_oracle import (ModeGaussian, convolution_weak_error_curve,
                               linear_stationary_variance)
 from .integrators import Engine, PathBatch, SchemeConfig, evolve
 from .estimators import (EXP_NEG_L2SQ, FUNCTIONALS, L2_SQUARED, BOUNDED_MODE1,
-                         ContractionStudy, CostCurve, ErgodicStudy,
-                         MCEstimate, MomentStudy, PathNorms, RateFit,
-                         TestFunctional, WeakOrderStudy, contraction_rate,
-                         cost_curve, ergodic_average, estimate_moment,
-                         fit_rate, path_norms, weak_order_study)
+                         ContractionStudy, ErgodicStudy, MCEstimate,
+                         MomentStudy, PathNorms, RateFit, TestFunctional,
+                         WeakOrderStudy, contraction_rate, cost_curve,
+                         ergodic_average, estimate_moment, fit_rate,
+                         path_norms, weak_order_study)
 
 __version__ = "0.1.0"

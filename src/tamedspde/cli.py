@@ -102,15 +102,15 @@ def _run_moment_growth(cfg: ExperimentConfig):
                             p["checkpoints"], cfg.n_paths, cfg.workers)
     rows = []
     if study.estimates is not None:
-        for t, est in zip(study.checkpoints, study.estimates):
+        for t, est in zip(p["checkpoints"], study.estimates):
             rows.append((t, est.value, est.std_error))
-    summary = {"power": study.power, "norm": study.norm,
-               "n_paths": study.n_paths,
+    summary = {"power": p["power"], "norm": p["norm"],
+               "n_paths": cfg.n_paths,
                "blowup_fraction": study.blowup_fraction,
-               "checkpoints": list(study.checkpoints),
+               "checkpoints": list(p["checkpoints"]),
                "estimates": None if study.estimates is None else
                [{"t": t, "value": e.value, "std_error": e.std_error}
-                for t, e in zip(study.checkpoints, study.estimates)]}
+                for t, e in zip(p["checkpoints"], study.estimates)]}
     return ("t", "estimate", "std_error"), rows, summary, {}
 
 
@@ -125,11 +125,10 @@ def _run_weak_order(cfg: ExperimentConfig):
         "slope": study.fit.slope, "intercept": study.fit.intercept,
         "r_squared": study.fit.r_squared,
         "n_levels_used": len(study.fit.points)}
-    summary = {"functional": study.functional, "horizon": study.horizon,
-               "n_paths": study.n_paths,
-               "noise_dominated": study.noise_dominated, "fit": fit}
-    extra = {"fit.json": {"noise_dominated": study.noise_dominated,
-                          "fit": fit}}
+    summary = {"functional": p["functional"], "horizon": cfg.scheme.horizon,
+               "n_paths": cfg.n_paths, "noise_dominated": fit is None,
+               "fit": fit}
+    extra = {"fit.json": {"noise_dominated": fit is None, "fit": fit}}
     return (("dt", "n_steps", "estimate", "std_error", "error_vs_ref",
              "error_std_error", "noise_dominated"), rows, summary, extra)
 
@@ -142,8 +141,8 @@ def _run_ergodic(cfg: ExperimentConfig):
              study.ensemble.n_samples),
             ("time_average", study.time_average.value,
              study.time_average.std_error, study.time_average.n_samples)]
-    summary = {"functional": study.functional, "horizon": study.horizon,
-               "burn_in": study.burn_in, "n_paths": study.n_paths,
+    summary = {"functional": p["functional"], "horizon": cfg.scheme.horizon,
+               "burn_in": p["burn_in"], "n_paths": cfg.n_paths,
                "ensemble": {"value": study.ensemble.value,
                             "std_error": study.ensemble.std_error},
                "time_average": {"value": study.time_average.value,
@@ -153,7 +152,8 @@ def _run_ergodic(cfg: ExperimentConfig):
 
 def _run_contraction(cfg: ExperimentConfig):
     scheme = cfg.scheme
-    x0_b = build_x0(cfg.params["x0_b"], scheme.n_modes, scheme.n_nodes)
+    x0_b = build_x0(cfg.params["x0_b"], scheme.n_modes, scheme.n_nodes,
+                    "params.x0_b")
     study = contraction_rate(scheme, x0_b, cfg.n_paths, cfg.workers)
     rows = [(i, r) for i, r in enumerate(study.per_path_rates)]
     summary = {"rate": study.rate, "ci_low": study.ci_low,
@@ -166,15 +166,14 @@ def _run_cost_curve(cfg: ExperimentConfig):
     p = cfg.params
     if not p["eps_list"]:
         raise ConfigurationError("params.eps_list: needs at least one eps")
-    curve = cost_curve(p["alpha"], p["regularity"], p["horizon_power"],
-                       p["eps_list"], p["horizon_scale"], p["accuracy_scale"])
+    points = cost_curve(p["alpha"], p["regularity"], p["horizon_power"],
+                        p["eps_list"], p["horizon_scale"], p["accuracy_scale"])
     rows = [(pt.eps, pt.horizon, pt.dt, pt.n_steps, pt.bound_product)
-            for pt in curve.points]
-    products = [pt.bound_product for pt in curve.points]
-    summary = {"alpha": curve.alpha, "regularity": curve.regularity,
-               "horizon_power": curve.horizon_power,
-               "horizon_scale": curve.horizon_scale,
-               "accuracy_scale": curve.accuracy_scale,
+            for pt in points]
+    products = [pt.bound_product for pt in points]
+    keys = ("alpha", "regularity", "horizon_power", "horizon_scale",
+            "accuracy_scale")
+    summary = {**{key: p[key] for key in keys},
                "bound_product_min": min(products),
                "bound_product_max": max(products)}
     return (("eps", "horizon", "dt", "n_steps", "bound_product"), rows,

@@ -13,7 +13,7 @@ silently ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -23,7 +23,7 @@ from . import noise as noise_mod
 from . import spectral
 from .errors import ConfigurationError
 from .estimators import FUNCTIONALS
-from .integrators import SchemeConfig, whole_steps
+from .integrators import _NOISE_MODES, SchemeConfig, whole_steps
 
 FORMATS = ("csv", "json", "gnuplot")
 _SECTIONS = ("model", "discretization", "sampling", "output", "params")
@@ -155,7 +155,10 @@ class _Choices:
 
     def build(self, where: str, spec, *args):
         params = self.fill(where, spec)
-        return self.options[params.pop(self.key)][0](*args, **params)
+        try:
+            return self.options[params.pop(self.key)][0](*args, **params)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _read(where: str, value, convert):
@@ -195,8 +198,7 @@ def _explicit_covariance(n_modes: int, weights) -> noise_mod.CovarianceSpec:
     cov = noise_mod.explicit_covariance(weights)
     if cov.n_modes != n_modes:
         raise ConfigurationError(
-            f"model.covariance: {cov.n_modes} weights given "
-            f"but n_modes={n_modes}")
+            f"{cov.n_modes} weights given but n_modes={n_modes}")
     return cov
 
 
@@ -245,7 +247,7 @@ _DISCRETIZATION = {
     "n_steps": (100, _int),
     "dt_max": (0.5, _float),
     "taming": (True, _bool),
-    "noise_mode": ("increment", _text),
+    "noise_mode": ("increment", _one_of(*_NOISE_MODES)),
 }
 
 _SAMPLING = {"n_paths": (100, _count), "seed": (0, _seed), "workers": (1, _count)}
@@ -299,8 +301,9 @@ def build_covariance(spec, n_modes: int) -> noise_mod.CovarianceSpec:
     return _COVARIANCE.build("model.covariance", spec, n_modes)
 
 
-def build_x0(spec, n_modes: int, n_nodes: int) -> np.ndarray:
-    return _X0.build("model.x0", spec, n_modes, n_nodes)
+def build_x0(spec, n_modes: int, n_nodes: int,
+             where: str = "model.x0") -> np.ndarray:
+    return _X0.build(where, spec, n_modes, n_nodes)
 
 
 def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -382,6 +385,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig
                           dt=dt, n_steps=n_steps, cov=cov, nl=nl, x0=x0,
                           seed=sampling["seed"], taming=disc["taming"],
                           dt_max=disc["dt_max"], noise_mode=disc["noise_mode"])
+    if experiment == "contraction":  # checked here too, to fail before any output
+        replace(scheme, x0=build_x0(params["x0_b"], model["n_modes"],
+                                    model["n_nodes"], "params.x0_b"))
 
     # serialized form: one of n_steps/horizon, so a manifest replays cleanly
     disc_out = {key: disc[key] for key in ("dt_max", "taming", "noise_mode")}

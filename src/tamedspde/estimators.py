@@ -200,10 +200,6 @@ class MomentStudy:
     has no meaningful norm to average.
     """
 
-    checkpoints: tuple
-    norm: str
-    power: int
-    n_paths: int
     blowup_fraction: float
     estimates: tuple | None
 
@@ -249,9 +245,7 @@ def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
         n_paths, workers)
     frac = float((blowup >= 0).mean())
     if frac > 0.0:
-        return MomentStudy(checkpoints=tuple(checkpoints), norm=norm,
-                           power=power, n_paths=n_paths,
-                           blowup_fraction=frac, estimates=None)
+        return MomentStudy(blowup_fraction=frac, estimates=None)
     estimates = []
     for row in values ** power:
         raw = MCEstimate.from_samples(row)
@@ -261,9 +255,7 @@ def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
             raw.std_error * root / (power * raw.value)
         estimates.append(MCEstimate(value=root, std_error=se,
                                     n_samples=raw.n_samples))
-    return MomentStudy(checkpoints=tuple(checkpoints), norm=norm, power=power,
-                       n_paths=n_paths, blowup_fraction=0.0,
-                       estimates=tuple(estimates))
+    return MomentStudy(blowup_fraction=0.0, estimates=tuple(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +311,11 @@ class WeakOrderStudy:
 
     Levels run coarse to fine; the last one is the reference and never
     enters the fit.  fit is None when fewer than three levels carry an
-    error visibly above the Monte Carlo noise floor; noise_dominated says
-    so explicitly.
+    error visibly above the Monte Carlo noise floor.
     """
 
-    functional: str
-    horizon: float
-    n_paths: int
     levels: tuple
     fit: RateFit | None
-    noise_dominated: bool
 
 
 def _weak_block(start, count, *, levels, functional):
@@ -348,7 +335,7 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
     estimate the weak error with far smaller variance than independent runs
     would.  Levels whose error is within 2 standard errors of zero are
     excluded from the fit as noise-dominated; if fewer than three levels
-    survive, no fit is attempted and the study says so.
+    survive, no fit is attempted and fit is None.
     """
     dts = [float(dt) for dt in dt_list]
     if len(set(dts)) != len(dts):
@@ -381,15 +368,9 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
             noise_dominated=(not is_ref) and err <= 2.0 * err_se))
 
     usable = [(lv.dt, lv.error) for lv in levels[:-1] if not lv.noise_dominated]
-    if len(usable) >= 3:
-        fit = fit_rate([u[0] for u in usable], [u[1] for u in usable])
-        dominated = False
-    else:
-        fit = None
-        dominated = True
-    return WeakOrderStudy(functional=functional.name, horizon=cfg.horizon,
-                          n_paths=n_paths, levels=tuple(levels), fit=fit,
-                          noise_dominated=dominated)
+    fit = (fit_rate([u[0] for u in usable], [u[1] for u in usable])
+           if len(usable) >= 3 else None)
+    return WeakOrderStudy(levels=tuple(levels), fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +380,6 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
 class ErgodicStudy:
     """Ensemble average of phi at the horizon vs per-path time averages."""
 
-    functional: str
-    horizon: float
-    burn_in: float
-    n_paths: int
     ensemble: MCEstimate
     time_average: MCEstimate
 
@@ -441,9 +418,7 @@ def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
         partial(_ergodic_block, cfg=cfg, functional=functional,
                 first_step=first_step),
         n_paths, workers)
-    return ErgodicStudy(functional=functional.name, horizon=cfg.horizon,
-                        burn_in=burn_in, n_paths=n_paths,
-                        ensemble=MCEstimate.from_samples(finals),
+    return ErgodicStudy(ensemble=MCEstimate.from_samples(finals),
                         time_average=MCEstimate.from_samples(path_means))
 
 
@@ -533,9 +508,11 @@ class CostPoint:
     bound_product: float  # n_steps * eps^(1/alpha)
 
 
-@dataclass(frozen=True)
-class CostCurve:
-    """Step-count schedule reaching accuracy eps at an eps-dependent horizon.
+def cost_curve(alpha: float, regularity: float, horizon_power: int, eps_list,
+               horizon_scale: float = 1.0,
+               accuracy_scale: float = 1.0) -> tuple:
+    """Step-count schedule reaching accuracy eps at an eps-dependent
+    horizon, as one CostPoint per entry of eps_list.
 
     The horizon grows like horizon_scale * |log eps| and the step size
     solves horizon^horizon_power * dt^((alpha + regularity)/2) =
@@ -543,19 +520,6 @@ class CostCurve:
     whole number of steps.  bound_product tracks n_steps * eps^(1/alpha),
     the quantity whose boundedness the cost claim asserts.
     """
-
-    alpha: float
-    regularity: float
-    horizon_power: int
-    horizon_scale: float
-    accuracy_scale: float
-    points: tuple
-
-
-def cost_curve(alpha: float, regularity: float, horizon_power: int, eps_list,
-               horizon_scale: float = 1.0,
-               accuracy_scale: float = 1.0) -> CostCurve:
-    """Evaluate the accuracy-vs-step-count schedule on a list of tolerances."""
     if not 0.0 < alpha < regularity:
         raise ConfigurationError(
             f"alpha={alpha} must lie in (0, regularity={regularity})")
@@ -581,6 +545,4 @@ def cost_curve(alpha: float, regularity: float, horizon_power: int, eps_list,
         points.append(CostPoint(
             eps=eps, horizon=horizon, dt=dt, n_steps=n_steps,
             bound_product=n_steps * eps ** (1.0 / alpha)))
-    return CostCurve(alpha=alpha, regularity=regularity,
-                     horizon_power=horizon_power, horizon_scale=horizon_scale,
-                     accuracy_scale=accuracy_scale, points=tuple(points))
+    return tuple(points)

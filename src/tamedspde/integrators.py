@@ -354,14 +354,15 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
               for cfg in cfgs]
     for cfg, r in zip(cfgs, ratios):
         if (r * cfg.n_steps != fine.n_steps
+                or abs(cfg.horizon - fine.horizon) > 1e-9 * fine.horizon
                 or (cfg.seed, cfg.n_modes, cfg.noise_mode)
                 != (fine.seed, fine.n_modes, fine.noise_mode)
                 or not np.array_equal(cfg.cov.mode_weights,
                                       fine.cov.mode_weights)):
             raise ConfigurationError(
                 f"{cfg.n_steps} steps cannot share the noise of "
-                f"{fine.n_steps} steps: the step counts must nest, and seed, "
-                "n_modes, covariance and noise_mode agree")
+                f"{fine.n_steps} steps: the step counts must nest, and "
+                "horizon, seed, n_modes, covariance and noise_mode agree")
     batches = [PathBatch(cfg, traj, allow_blowup) for cfg in cfgs]
     sums = [np.empty((fine.n_modes, len(traj))) if r > 1 else None
             for r in ratios]

@@ -245,13 +245,14 @@ def test_nonlinear_weak_order_near_one():
                        cov=noise.power_decay(J, 3.0), nl=dissipative_cubic(1.0),
                        x0=spectral.unit_mode(J, 1), seed=0, taming=True)
     dts = [2.0 ** -k for k in range(2, 9)]
+    n_paths = 102_400
     # check 11 shows the worker count moves no byte
-    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, n_paths=102_400,
+    study = weak_order_study(cfg, dts, EXP_NEG_L2SQ, n_paths=n_paths,
                              workers=min(2, os.cpu_count() or 1))
     elapsed = time.perf_counter() - t0
     if study.fit is None:
         _record(9, "nonlinear weak order near one", False,
-                f"noise-dominated at {study.n_paths} paths; no fit, "
+                f"noise-dominated at {n_paths} paths; no fit, "
                 f"{elapsed:.0f}s")
         pytest.fail("every level was noise-dominated; rate not measurable")
     slope = study.fit.slope
@@ -276,9 +277,9 @@ _EPS_LIST = [2.0 ** -k for k in range(4, 21)]
            "over this tolerance range; no bounded-ratio check can pass")
 def test_step_count_tracks_inverse_accuracy_power():
     t0 = time.perf_counter()
-    curve = cost_curve(alpha=0.2, regularity=0.25, horizon_power=27,
-                       eps_list=_EPS_LIST)
-    products = [p.bound_product for p in curve.points]
+    points = cost_curve(alpha=0.2, regularity=0.25, horizon_power=27,
+                        eps_list=_EPS_LIST)
+    products = [p.bound_product for p in points]
     ratio = max(products) / min(products)
     elapsed = time.perf_counter() - t0
     ok = ratio < 10.0 and elapsed < 1.0
@@ -293,9 +294,9 @@ def test_step_count_bound_in_feasible_regime():
     # exponent removed and alpha close to the regularity limit, where the
     # product n_steps * eps^(1/alpha) genuinely flattens out
     t0 = time.perf_counter()
-    curve = cost_curve(alpha=0.24, regularity=0.25, horizon_power=0,
-                       eps_list=_EPS_LIST)
-    products = [p.bound_product for p in curve.points]
+    points = cost_curve(alpha=0.24, regularity=0.25, horizon_power=0,
+                        eps_list=_EPS_LIST)
+    products = [p.bound_product for p in points]
     ratio = max(products) / min(products)
     elapsed = time.perf_counter() - t0
     ok = ratio < 10.0 and elapsed < 1.0

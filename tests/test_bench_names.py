@@ -1,13 +1,16 @@
-"""Every package name that bench/child.py wraps still exists.
+"""Every package name that bench/child.py wraps still exists, and every
+benchmark workload config still resolves to the work it counts.
 
 The benchmark's child skips an absent name silently, so a rename in the
-package would drop that layer's spans without failing anything; this test
-makes it fail here instead.
+package would drop that layer's spans without failing anything; and a
+config change that drops a key a workload sets would fail only in the
+benchmark run.  These tests make both fail here instead.
 """
 
 from pathlib import Path
 
 from tamedspde import estimators, integrators, noise
+from tamedspde.config import resolve_config
 from tamedspde.nonlinearity import dissipative_cubic
 from tamedspde.spectral import unit_mode
 
@@ -43,3 +46,19 @@ def test_bench_wraps_only_names_that_exist(monkeypatch, tmp_path):
     engine = integrators.Engine(cfg)
     for attr in ("f", "step", "noise_from_gaussians"):
         assert isinstance(getattr(engine, attr), spans.Timed), attr
+
+
+def test_bench_configs_resolve_to_their_path_steps(monkeypatch):
+    monkeypatch.syspath_prepend(str(_BENCH))
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        raw = workload.config(0)
+        cfg = resolve_config(raw)
+        if cfg.experiment == "weak-order":
+            steps = sum(integrators.whole_steps(cfg.scheme.horizon, dt)
+                        for dt in cfg.params["dt_list"])
+        else:
+            assert cfg.experiment == "ergodic", name
+            steps = cfg.scheme.n_steps
+        assert workload.path_steps(raw) == cfg.n_paths * steps, name

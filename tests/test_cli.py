@@ -211,7 +211,7 @@ def test_non_finite_start_exits_2(tmp_path, capsys, experiment, x0, params):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: "), err
     assert "finite" in err
-    assert not (out / f"{experiment}.csv").exists()
+    assert not out.exists()
 
 
 def test_empty_ergodic_window_exits_2(tmp_path, capsys):
@@ -619,6 +619,24 @@ _MALFORMED = [
                     "params": {"dt_list": [0.0]}}, "params.dt_list"),
     ("weak-order", {"discretization": {"horizon": 1.0},
                     "params": {"dt_list": [1.0, 0.5, 0.25]}}, "params.dt_list"),
+    # values that convert but that the model's constructor refuses
+    ("simulate", {"model": {"nonlinearity": "zero", "covariance": "white",
+                            "n_modes": 4, "n_nodes": 16,
+                            "x0": {"kind": "unit_mode", "mode": 9}}},
+     "model.x0"),
+    ("contraction", {"model": {"nonlinearity": "zero", "covariance": "white",
+                               "n_modes": 4, "n_nodes": 16},
+                     "params": {"x0_b": {"kind": "unit_mode", "mode": 9}}},
+     "params.x0_b"),
+    ("simulate", {"model": {"nonlinearity": "zero",
+                            "covariance": {"kind": "power_decay",
+                                           "decay": -1}}},
+     "model.covariance"),
+    ("simulate", {"model": {"nonlinearity": {"name": "linear", "c": -1},
+                            "covariance": "white"}}, "model.nonlinearity"),
+    ("simulate", {"discretization": {"dt": 0.1, "n_steps": 5,
+                                     "noise_mode": "exakt"}},
+     "discretization.noise_mode"),
 ]
 
 

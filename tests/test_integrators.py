@@ -521,6 +521,8 @@ def test_configurations_that_cannot_share_noise_are_rejected():
     cfg = make_cfg(zero(), n_steps=12)
     with pytest.raises(ConfigurationError, match="must nest"):
         evolve([replace(cfg, dt=0.12, n_steps=5), cfg], _traj(0))
+    with pytest.raises(ConfigurationError, match="horizon"):   # 1.8 against 0.6
+        evolve([replace(cfg, dt=0.3, n_steps=6), cfg], _traj(0))
     with pytest.raises(ConfigurationError, match="seed"):
         evolve([replace(cfg, seed=1), cfg], _traj(0))
     with pytest.raises(ConfigurationError, match="covariance"):
