@@ -11,9 +11,8 @@ from .noise import (CovarianceSpec, NoiseRegularity, classify_regularity,
 from .nonlinearity import (AuditReport, Nonlinearity, allen_cahn,
                            audit_assumptions, dissipative_cubic, linear,
                            polynomial, zero)
-from .gaussian_oracle import (ModeGaussian, convolution_weak_error_curve,
-                              linear_invariant_variance, linear_scheme_law,
-                              linear_stationary_variance)
+from .gaussian_oracle import (ModeGaussian, linear_invariant_variance,
+                              linear_scheme_law, linear_stationary_variance)
 from .integrators import Engine, PathBatch, SchemeConfig, evolve
 from .estimators import (EXP_NEG_L2SQ, FUNCTIONALS, L2_SQUARED, BOUNDED_MODE1,
                          ContractionStudy, ErgodicStudy, MCEstimate,

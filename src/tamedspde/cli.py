@@ -62,8 +62,12 @@ def _write_csv(path: Path, experiment: str, columns, rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n",
+    # standard JSON has no NaN or Infinity: a non-finite number becomes null
+    # on a parse round trip, which keeps every finite float's bits and the
+    # sorted key order
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
+    payload = json.loads(text, parse_constant=lambda _: None)
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 

@@ -3,8 +3,7 @@
 Everything the scheme does to a linear model is an affine map of Gaussians,
 so means and variances obey scalar per-mode recursions with closed-form
 geometric sums.  These values are sampling-free: they are the ground truth
-that Monte Carlo output gets compared against, and the analytic weak-error
-curve for the discretized stochastic convolution comes straight from them.
+that Monte Carlo output gets compared against.
 
 All formulas use expm1 where cancellation threatens, and none of them draw
 random numbers; repeated calls are bitwise identical.
@@ -12,15 +11,13 @@ random numbers; repeated calls are bitwise identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrators import SchemeConfig, whole_steps
 from .noise import CovarianceSpec
-from .nonlinearity import zero
-from .spectral import eigenvalues, zero_field
+from .spectral import eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,28 +43,6 @@ class ModeGaussian:
     def l2_second_moment(self) -> float:
         """E of the squared L2 norm: sum of mean^2 + variance over modes."""
         return float((self.mean * self.mean + self.variance).sum())
-
-
-def convolution_weak_error_curve(cov: CovarianceSpec, t_fix: float,
-                                 dt_list) -> list[tuple[float, float]]:
-    """Analytic weak error of the squared-norm functional at a fixed time.
-
-    From a zero start with zero drift, increment mode is the discrete
-    stochastic convolution and exact mode is the continuous one sampled on
-    the grid.  For each dt (a whole number of steps into t_fix) the entry is
-    (dt, |E |X|^2 of the one law - E |X|^2 of the other| at t_fix).  No
-    sampling is involved.
-    """
-    curve = []
-    for dt in dt_list:
-        dt = float(dt)
-        cfg = SchemeConfig(n_modes=cov.n_modes, n_nodes=cov.n_modes, dt=dt,
-                           n_steps=whole_steps(t_fix, dt), cov=cov, nl=zero(),
-                           x0=zero_field(cov.n_modes), taming=False, dt_max=dt)
-        moments = [linear_scheme_law(replace(cfg, noise_mode=mode)).l2_second_moment
-                   for mode in ("increment", "exact")]
-        curve.append((dt, abs(moments[0] - moments[1])))
-    return curve
 
 
 def _step_factors(cfg):

@@ -4,18 +4,23 @@ Each function here spells out one piece of the scheme the plain way, so a
 test can hold the batched engine to it: the counter-based words and
 uniforms that rng.normal_matrix draws from, the zero-drift step map, the
 pseudo-spectral reaction lift and its taming norm, the summation of fine
-increments into coarse ones that couples the weak-order levels, and the
-per-mode statistics of a final state that the Gaussian laws are held to.
+increments into coarse ones that couples the weak-order levels, the
+per-mode statistics of a final state that the Gaussian laws are held to,
+and the analytic weak-error curve of the discretized stochastic convolution.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from tamedspde import rng
 from tamedspde.errors import ConfigurationError, TrajectoryOverflow
-from tamedspde.nonlinearity import Nonlinearity
-from tamedspde.spectral import sine_matrix
+from tamedspde.gaussian_oracle import linear_scheme_law
+from tamedspde.integrators import SchemeConfig, whole_steps
+from tamedspde.noise import CovarianceSpec
+from tamedspde.nonlinearity import Nonlinearity, zero
+from tamedspde.spectral import sine_matrix, zero_field
 
 
 def words(seed: int, trajectories, step: int, n_slots: int) -> np.ndarray:
@@ -100,3 +105,25 @@ def aggregate_fine_increments(increments: np.ndarray, n_coarse: int) -> np.ndarr
             f"cannot aggregate {n_fine} fine steps into {n_coarse} coarse steps")
     r = n_fine // n_coarse
     return increments.reshape((n_coarse, r) + increments.shape[1:]).sum(axis=1)
+
+
+def convolution_weak_error_curve(cov: CovarianceSpec, t_fix: float,
+                                 dt_list) -> list[tuple[float, float]]:
+    """Analytic weak error of the squared-norm functional at a fixed time.
+
+    From a zero start with zero drift, increment mode is the discrete
+    stochastic convolution and exact mode is the continuous one sampled on
+    the grid.  For each dt (a whole number of steps into t_fix) the entry is
+    (dt, |E |X|^2 of the one law - E |X|^2 of the other| at t_fix).  No
+    sampling is involved.
+    """
+    curve = []
+    for dt in dt_list:
+        dt = float(dt)
+        cfg = SchemeConfig(n_modes=cov.n_modes, n_nodes=cov.n_modes, dt=dt,
+                           n_steps=whole_steps(t_fix, dt), cov=cov, nl=zero(),
+                           x0=zero_field(cov.n_modes), taming=False, dt_max=dt)
+        moments = [linear_scheme_law(replace(cfg, noise_mode=mode)).l2_second_moment
+                   for mode in ("increment", "exact")]
+        curve.append((dt, abs(moments[0] - moments[1])))
+    return curve

@@ -30,7 +30,6 @@ from tamedspde.estimators import (
     weak_order_study,
 )
 from tamedspde.gaussian_oracle import (
-    convolution_weak_error_curve,
     linear_invariant_variance,
     linear_scheme_law,
 )
@@ -38,7 +37,8 @@ from tamedspde.integrators import Engine, SchemeConfig, evolve
 from tamedspde.nonlinearity import dissipative_cubic, linear, polynomial, zero
 from tamedspde.noise import increment_scale
 
-from reference import mode_statistics, step_discrete_convolution
+from reference import (convolution_weak_error_curve, mode_statistics,
+                       step_discrete_convolution)
 
 _LINES = []
 

@@ -17,7 +17,7 @@ from tamedspde.spectral import unit_mode
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # No workload has called it since the weak-order kernel was streamed, and it
-# left the package; ROADMAP item 2 drops its span from the benchmark.
+# left the package; ROADMAP item 1 drops its span from the benchmark.
 _KNOWN_ABSENT = {"tamedspde.estimators.aggregate_fine_increments"}
 
 

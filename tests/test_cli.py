@@ -440,6 +440,22 @@ def test_audit_prints_report(tmp_path, capsys):
     assert any(line.startswith("sup_fprime,") for line in lines)
 
 
+def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
+    # a window with no tail leaves the growth exponent unfitted (NaN)
+    cfg = write_config(tmp_path, experiment="audit",
+                       params={"z_lo": -0.5, "z_hi": 0.5})
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--config", cfg, "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((out / "audit.json").read_text(),
+                         parse_constant=reject)
+    assert summary["report"]["growth_exponent_fit"] is None
+    assert "growth_exponent_fit,nan" in (out / "audit.csv").read_text()
+
+
 def test_ergodic_and_contraction_and_cost_run(tmp_path):
     erg = write_config(tmp_path, "erg.yaml", experiment="ergodic",
                        discretization={"dt": 0.1, "horizon": 2.0},

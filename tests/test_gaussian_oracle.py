@@ -19,13 +19,14 @@ from tamedspde import noise, spectral
 from tamedspde.errors import ConfigurationError
 from tamedspde.estimators import fit_rate
 from tamedspde.gaussian_oracle import (ModeGaussian,
-                                       convolution_weak_error_curve,
                                        linear_invariant_variance,
                                        linear_scheme_law,
                                        linear_stationary_variance)
 from tamedspde.integrators import SchemeConfig
 from tamedspde.nonlinearity import dissipative_cubic, linear, zero
 from tamedspde.spectral import eigenvalue, eigenvalues
+
+from reference import convolution_weak_error_curve
 
 
 def make_cfg(c, dt, mode, J=4, x0_mode=1, n_steps=10):
