@@ -18,7 +18,6 @@ with step and trajectory).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -36,6 +35,17 @@ from .estimators import (FUNCTIONALS, contraction_rate, cost_curve,
                          weak_order_study)
 from .noise import classify_regularity
 from .nonlinearity import audit_assumptions
+
+# sha256 from CPython's builtin module, as random.py takes its sha512:
+# hashlib would load OpenSSL's libcrypto, 3.5 MB of resident memory, for
+# the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _CSV_VERSION = "tamedspde-csv v1"
 
@@ -263,7 +273,7 @@ def _config_hash(resolved: dict) -> str:
     hashed["sampling"] = {k: v for k, v in resolved["sampling"].items()
                           if k != "workers"}
     config_json = json.dumps(hashed, sort_keys=True, default=_json_default)
-    return hashlib.sha256(config_json.encode()).hexdigest()
+    return sha256(config_json.encode()).hexdigest()
 
 
 def _refuse_non_files(out_dir: Path, names) -> None:

@@ -52,7 +52,9 @@ from .spectral import phi1_factors, semigroup_factors, sine_matrix
 _NOISE_MODES = ("increment", "exact")
 
 # the node-side work of a step runs over row tiles of about this many bytes
-# of the workspace, which stay in cache between the reaction and its square
+# of node values, so a tile's reaction is still in cache when it is squared;
+# a single path (a 1-d state or B = 1) keeps one tile, because numpy sums a
+# column pairwise and a tiled sum would change its bits
 _TILE_BYTES = 1 << 17
 
 # evolve's helper thread draws at least this many normals per call, in the
@@ -145,9 +147,9 @@ class Engine:
     states it returns are new arrays.
     """
 
-    # step()'s buffers for the last (n_nodes, state shape) of each thread,
-    # as _work.key and _work.buffers, shared by all engines; a step writes
-    # each before reading it and returns none of them
+    # step()'s buffers for the last (n_nodes, tile rows, state shape) of
+    # each thread, as _work.key and _work.buffers, shared by all engines; a
+    # step writes each before reading it and returns none of them
     _work = threading.local()
 
     def __init__(self, cfg: SchemeConfig):
@@ -187,27 +189,35 @@ class Engine:
             return decay * x + noise
 
         # the module docstring's expressions, each operation in its order
-        key, work = (self.basis.shape[0],) + x.shape, Engine._work
+        m = self.basis.shape[0]
+        rows = (m if x.size == len(x)  # node rows per tile
+                else min(m, max(1, _TILE_BYTES // x[0].nbytes)))
+        key, work = (m, rows) + x.shape, Engine._work
         if getattr(work, "key", None) != key:
-            work.buffers = (np.empty((2, key[0]) + x.shape[1:]),
+            work.buffers = (np.empty((m + rows,) + x.shape[1:]),
+                            np.empty((rows + 1,) + x.shape[1:]),
                             np.empty(x.shape))
             work.key = key
-        (z, fx), coeffs = work.buffers
+        nodes, sq, coeffs = work.buffers
+        total = sq[0, ...]  # a view, also of a 1-d sq
         inc = self.noise_mode == "increment"
-        rows = max(1, _TILE_BYTES // fx[0].nbytes)  # node rows per tile
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self.basis, x, out=z)
-            # elementwise, so tiling leaves every bit as on the whole array;
-            # z holds fx * fx afterwards, summed whole below
-            for lo in range(0, len(z), rows):
-                zt, ft = z[lo:lo + rows], fx[lo:lo + rows]
-                self.f(zt, out=ft)
+            # z goes below a spare tile; each tile's f is written one tile
+            # up, over z already read, so f ends contiguous in nodes[:m]
+            np.matmul(self.basis, x, out=nodes[rows:])
+            for lo in range(0, m, rows):
+                ft = nodes[lo:min(lo + rows, m)]
+                self.f(nodes[rows + lo:rows + lo + len(ft)], out=ft)
                 if self.taming:
-                    np.multiply(ft, ft, out=zt)
-            coeffs = np.matmul(self.basis.T, fx, out=coeffs)
+                    # squares under the running total: numpy adds the rows
+                    # of a block in order, so total is bitwise the sum of
+                    # all m squares
+                    np.multiply(ft, ft, out=sq[1:1 + len(ft)])
+                    np.sum(sq[int(lo == 0):1 + len(ft)], axis=0, out=total)
+            coeffs = np.matmul(self.basis.T, nodes[:m], out=coeffs)
             coeffs *= self.weight
             if self.taming:
-                norm = np.sqrt(z.sum(axis=0) * self.weight)
+                norm = np.sqrt(total * self.weight)
                 drift = np.multiply(_col(self.gain, x), coeffs, out=coeffs)
                 drift /= 1.0 + self.dt * norm
                 # decay * (x + noise) + drift, or decay * x + drift + noise

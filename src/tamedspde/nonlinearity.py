@@ -29,7 +29,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError
 from .spectral import eigenvalue
@@ -170,6 +169,8 @@ def allen_cahn(a: float = 1.0) -> Nonlinearity:
 def polynomial(coeffs) -> Nonlinearity:
     """f(z) = sum coeffs[k] z^k.  No derivative bound is computed; run the
     audit to estimate one on a window of interest."""
+    # imported here: no other reaction needs numpy.polynomial's 0.7 MB
+    from numpy.polynomial import polynomial as npoly
     c = np.asarray(coeffs, dtype=np.float64)
     if c.ndim != 1 or c.shape[0] < 1 or not np.all(np.isfinite(c)):
         raise ConfigurationError("polynomial coeffs must be a finite 1-d sequence")

@@ -70,6 +70,20 @@ def test_manifest_contents(tmp_path):
     assert replay.resolved == manifest["config"]
 
 
+def test_import_loads_neither_openssl_nor_numpy_polynomial():
+    # hashlib's OpenSSL and numpy.polynomial cost every run resident memory
+    # that only the config hash and the polynomial reaction would use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tamedspde.cli; "
+         "print(sorted({'_hashlib', 'numpy.polynomial'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

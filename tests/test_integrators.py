@@ -232,6 +232,28 @@ def test_tiled_step_matches_manual_assembly(J, B, taming):
                           manual_step(cfg, x, noise_term))
 
 
+@pytest.mark.parametrize("batch", [None, 1, 2, 3, 1024])
+def test_three_row_tiles_match_manual_assembly(monkeypatch, batch):
+    # 3 node rows per tile, so the 24 nodes of J = 6 take 8 tiles; a single
+    # path keeps one tile, because numpy sums its column pairwise
+    monkeypatch.setattr(integrators, "_TILE_BYTES", 3 * 8 * (batch or 1))
+    tiles = [24] if batch in (None, 1) else [3] * 8
+    shape = (6,) if batch is None else (6, batch)
+    gen = np.random.default_rng(batch)
+    for nl in _REACTIONS:
+        for taming in (True, False):
+            for mode in ("increment", "exact"):
+                cfg = make_cfg(nl, taming=taming, mode=mode)
+                engine, seen = Engine(cfg), []
+                engine.f = (lambda z, out, f=engine.f:
+                            seen.append(len(z)) or f(z, out=out))
+                x = gen.normal(size=shape)
+                noise_term = engine.noise_from_gaussians(gen.normal(size=shape))
+                assert np.array_equal(engine.step(x, noise_term),
+                                      manual_step(cfg, x, noise_term))
+                assert seen == tiles
+
+
 def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
     # 16 x 1024 normals per step, so the helper draws 4 steps per call: a
     # chunk of 4 and a tail of 2; a coarse level rides along
