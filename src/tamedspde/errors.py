@@ -10,7 +10,9 @@ class TrajectoryOverflow(ArithmeticError):
 
     ``step`` is the index of the state that failed to stay finite (states
     are numbered from 0, so the first update that overflows reports 1).
-    ``trajectory`` is the trajectory index when known.
+    ``trajectory`` is the trajectory index when known.  One raised from
+    ``integrators.evolve`` also carries ``order``, the (fine step,
+    configuration index) of the update that failed.
     """
 
     def __init__(self, message: str, step: int | None = None,

@@ -26,13 +26,12 @@ States are coefficient arrays of shape (J,) or (J, B); every operation here
 is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
-of batch, process or thread layout, so :func:`evolve` draws the next step's
-normals on a helper thread while the current step runs.
+of batch, process or thread layout, so the paths of one block may be split
+into parts and stepped on two threads at once (see estimators._map_blocks).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import functools
@@ -57,9 +56,9 @@ _NOISE_MODES = ("increment", "exact")
 # column pairwise and a tiled sum would change its bits
 _TILE_BYTES = 1 << 17
 
-# evolve's helper thread draws at least this many normals per call, in the
-# fewest whole steps that hold them: short numpy calls on two threads trade
-# the GIL at every call instead of overlapping
+# evolve draws at least this many normals per call, in the fewest whole
+# steps that hold them: short numpy calls on two stepping threads trade the
+# GIL at every call instead of overlapping
 _CHUNK_NORMALS = 1 << 16
 
 
@@ -240,7 +239,8 @@ class Engine:
 class PathBatch:
     """Trajectories traj (global indices, uint64) of one configuration,
     stepped in lockstep from cfg.x0: ``x`` is their (J, B) state, ``n`` its
-    index and ``blowup`` each path's first non-finite one."""
+    index, ``blowup`` each path's first non-finite one and ``frozen``
+    whether every path has one (vacuously so for no paths)."""
 
     def __init__(self, cfg: SchemeConfig, traj: np.ndarray,
                  allow_blowup: bool = False):
@@ -248,6 +248,7 @@ class PathBatch:
         self.engine = Engine(cfg)
         self.x = np.repeat(cfg.x0[:, None], len(traj), axis=1)
         self.blowup = np.full(len(traj), -1, dtype=np.int64)
+        self.frozen = len(traj) == 0
         self.n = 0
 
     def advance(self, noise: np.ndarray) -> None:
@@ -257,7 +258,7 @@ class PathBatch:
         path freezes, and once all are frozen none is stepped any more."""
         cfg, engine, traj, n = self.cfg, self.engine, self.traj, self.n
         self.n += 1
-        if (self.blowup >= 0).all():
+        if self.frozen:
             return
         new = engine.step(self.x, noise)
         if engine.taming and np.any(engine.last_drift_l2 >= 1.0):
@@ -274,6 +275,7 @@ class PathBatch:
                     f"{n + 1} (dt={cfg.dt:g})", step=n + 1, trajectory=bad)
             self.blowup[(~finite) & (self.blowup < 0)] = n + 1
             dead = self.blowup >= 0
+            self.frozen = bool(dead.all())
             new[:, dead] = self.x[:, dead]
         self.x = new
 
@@ -343,19 +345,19 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     J = 16 and 64), which would tie the pair's bytes to its layout.
     on_state(n, batches) fires for the initial states and after every fine
     step; once every path of every batch is frozen, nothing is stepped and
-    no further chunk is requested, though the one in flight is drawn.
+    no further chunk is drawn.  A TrajectoryOverflow raised here carries
+    ``order``, the (fine step, configuration index) at which it was met.
 
-    One helper thread draws the normals ahead, K steps per call
-    (rng.normal_matrix over a range): while the main thread runs the steps
-    of one chunk, the helper draws the next.  K is the fewest steps that
-    hold 2^16 normals, capped at the steps left: 4 at 16 modes and 1024
-    paths, 1 at 64 modes.  Every numpy call releases and retakes the GIL,
-    and at (16, 1024) a draw or a step is 25-40 calls of 10-30 us, so drawn
-    one step per call the two threads mostly trade the GIL (1.33 ms per
-    draw-and-step pair against 1.44 ms serially, on a 2-core Xeon VM);
-    K times longer calls overlap.  For the length of the call numpy's
-    bundled OpenBLAS, when found, runs on one thread, so the helper has the
-    other core; the previous count is restored on return or raise, once the
+    The normals are drawn K steps per call (rng.normal_matrix over a
+    range), K the fewest steps that hold 2^16 normals, capped at the steps
+    left: 8 at 16 modes and 512 paths, 2 at 64 modes.  Each chunk, and
+    every view of it, is dropped before the next is drawn.  Every numpy
+    call releases and retakes the GIL, so when two threads step at once
+    (estimators._map_blocks runs the two parts of a block so), short calls
+    mostly trade the GIL and K times longer draws overlap.  For the length
+    of the call numpy's bundled OpenBLAS, when found, runs on one thread,
+    so two stepping threads do not contend for the two cores inside their
+    gemms; the previous count is restored on return or raise, once the
     last of any overlapping calls ends.  Calls on several threads at once
     share no buffer.
     """
@@ -380,27 +382,21 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
                   if fine.noise_mode == "exact" else None)
 
     per_call = -(-_CHUNK_NORMALS // max(1, fine.n_modes * len(traj)))
-
-    def draw(lo):  # rng.normal_matrix is looked up at each call
-        steps = range(lo, min(lo + per_call, fine.n_steps))
-        return rng.normal_matrix(fine.seed, traj, steps, fine.n_modes)
-
-    with (_one_blas_thread(),
-          concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper):
+    with _one_blas_thread():
         if on_state is not None:
             on_state(0, batches)
-        # the helper draws every step, step 0 included, so the main thread
-        # builds no rng workspace of its own
-        ahead = helper.submit(draw, 0) if fine.n_steps else None
         for j in range(fine.n_steps):
-            if any((paths.blowup < 0).any() for paths in batches):
+            if not all(paths.frozen for paths in batches):
                 if j % per_call == 0:
-                    chunk = ahead.result()
-                    ahead = (helper.submit(draw, j + per_call)
-                             if j + per_call < fine.n_steps else None)
+                    chunk = None  # freed before the next one is drawn
+                    chunk = rng.normal_matrix(
+                        fine.seed, traj,
+                        range(j, min(j + per_call, fine.n_steps)),
+                        fine.n_modes)
                 noise = batches[-1].engine.noise_from_gaussians(
                     chunk[j % per_call])
-                for paths, r, acc in zip(batches, ratios, sums):
+                for i, (paths, r, acc) in enumerate(
+                        zip(batches, ratios, sums)):
                     if r == 1:
                         acc = noise
                     elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
@@ -410,7 +406,11 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
                             acc *= fine_decay
                         acc += noise
                     if j % r == r - 1:
-                        paths.advance(acc)
+                        try:
+                            paths.advance(acc)
+                        except TrajectoryOverflow as exc:
+                            exc.order = (j, i)
+                            raise
             if on_state is not None:
                 on_state(j + 1, batches)
     return batches

@@ -10,17 +10,23 @@ the reproducibility contract the CSV outputs rely on.
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tamedspde import estimators, noise, rng
-from tamedspde.errors import ConfigurationError, TrajectoryOverflow
+from tamedspde.errors import (ConfigurationError, TamingBoundViolation,
+                              TrajectoryOverflow)
 from tamedspde.estimators import (_weak_block, BOUNDED_MODE1, EXP_NEG_L2SQ, FUNCTIONALS,
                                   L2_SQUARED, MCEstimate, contraction_rate,
                                   cost_curve, ergodic_average, estimate_moment,
@@ -453,7 +459,7 @@ def test_block_results_independent_of_workers():
 
 
 
-def test_pool_is_capped_at_the_block_count(monkeypatch):
+def test_pool_is_capped_at_the_part_count(monkeypatch):
     # a fork pool starts all max_workers processes at once; this fake starts
     # none and records the pool size asked for
     sizes = []
@@ -462,42 +468,190 @@ def test_pool_is_capped_at_the_block_count(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
+        def shutdown(self, cancel_futures):
+            assert cancel_futures
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    # each block's arrays are joined on their last (path) axis in block order
+    # 2049 paths: two blocks of 1024, each in two parts of 512, and a block
+    # of one; each part's arrays are joined on their last (path) axis in order
     starts, counts = estimators._map_blocks(
         lambda s, c: (np.full((2, c), s), np.array([c])), 2049, workers=8)
-    assert np.array_equal(starts, np.repeat([[0, 1024, 2048]] * 2,
-                                            [1024, 1024, 1], axis=1))
-    assert counts.tolist() == [1024, 1024, 1]
+    assert np.array_equal(starts, np.repeat(
+        [[0, 512, 1024, 1536, 2048]] * 2, [512] * 4 + [1], axis=1))
+    assert counts.tolist() == [512] * 4 + [1]
     estimators._map_blocks(lambda s, c: (np.array([c]),), 2049, workers=2)
-    assert sizes == [3, 2]
+    assert sizes == [5, 2]
 
 
-def _die_on_second_block(start, count):
-    # the block of trajectories 1024-2047 kills its worker; the pause lets
-    # the other worker hand back block 0 first
+def _die_on_third_part(start, count):
+    # the part of trajectories 1024-1535 kills its worker; the pause lets
+    # the other worker hand back the parts before it first
     if start == 1024:
         time.sleep(0.5)
         os._exit(1)
     return (np.full(count, start),)
 
 
-def test_dead_worker_names_its_block():
+def test_dead_worker_names_its_part():
     with pytest.raises(BrokenProcessPool,
-                       match="trajectories 1024 to 2047") as info:
-        estimators._map_blocks(_die_on_second_block, 2049, workers=2)
+                       match="trajectories 1024 to 1535") as info:
+        estimators._map_blocks(_die_on_third_part, 2049, workers=2)
     assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+
+# --- two-part blocks --------------------------------------------------------------
+
+def _split_blocks(J):
+    """Every block function, as f(start, count), over small J-mode runs."""
+    cfg = make_cfg(dissipative_cubic(1.0), J=J, dt=0.125, n_steps=4, seed=3)
+    levels = [replace(cfg, dt=cfg.dt * r, n_steps=4 // r) for r in (4, 2, 1)]
+    return {
+        "evolve": lambda s, c: tuple(
+            p.x for p in evolve(levels, estimators._traj(s, c))),
+        "norm": partial(estimators._norm_block, cfg=cfg, steps=range(5),
+                        norms=("l2", "sup")),
+        "weak": partial(_weak_block, levels=levels, functional=EXP_NEG_L2SQ),
+        "ergodic": partial(
+            estimators._ergodic_block, functional=L2_SQUARED, first_step=2,
+            cfg=replace(cfg, nl=linear(1.0), noise_mode="exact")),
+        "contraction": partial(estimators._contraction_block, pair=[
+            cfg, replace(cfg, x0=unit_mode(J, 2, 0.5))]),
+    }
+
+
+@pytest.mark.parametrize("J, counts", [(16, range(968, 1033)),
+                                       (64, range(64, 129))])
+def test_split_blocks_equal_the_whole_block_bitwise(monkeypatch, J, counts):
+    # every residue mod 8, on both sides of OpenBLAS's small-matrix gemm
+    # limit (M J count of about 10^6): at J = 16, M = 64 the whole block
+    # crosses it near count 977 while the halves stay below, at J = 64,
+    # M = 256 the whole block stays above while the halves straddle it;
+    # blocks of up to 2048 paths, so every count is one block
+    monkeypatch.setattr(estimators, "_PATH_BLOCK", 2048)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the two threads trade the GIL often
+    try:
+        for name, block in _split_blocks(J).items():
+            for count in counts:
+                parts = []
+                got = estimators._map_blocks(
+                    lambda s, c: parts.append((s, c)) or block(s, c),
+                    count, workers=1)
+                half = 8 * (count // 16)
+                # only a multiple of 8 is split, and into 8-aligned parts
+                assert sorted(parts) == ([(0, half), (half, count - half)]
+                                         if count % 8 == 0 else [(0, count)])
+                want = block(0, count)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b, equal_nan=True), (name, count)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# untamed cubic from amplitude 6: of paths 0-15 at seed 1, paths 8 and 14
+# overflow at state 9 and every other one at state 10
+_OVERFLOWING = make_cfg(dissipative_cubic(0.0), dt=0.25, n_steps=60, seed=1,
+                        taming=False, x0=unit_mode(8, 1, 6.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_block_raises_the_whole_blocks_error(monkeypatch, workers):
+    # the second part of a 16-path block overflows at an earlier state than
+    # the first: the error is still the whole block's, serially and in the
+    # pool (two blocks of 16)
+    block = partial(_weak_block, levels=[_OVERFLOWING],
+                    functional=BOUNDED_MODE1)
+    errors = []
+    for start, count in [(0, 16), (0, 8), (8, 8)]:
+        with pytest.raises(TrajectoryOverflow) as info:
+            block(start, count)
+        errors.append(info.value)
+    whole, first, second = errors
+    assert (first.step, first.trajectory) == (10, 0)
+    assert (second.step, second.trajectory) == (9, 8)
+    monkeypatch.setattr(estimators, "_PATH_BLOCK", 16)
+    with pytest.raises(TrajectoryOverflow) as info:
+        estimators._map_blocks(block, 16 * workers, workers)
+    assert type(info.value) is type(whole)
+    assert str(info.value) == str(whole)
+    assert (info.value.step, info.value.trajectory) == (9, 8)
+
+
+def test_parts_after_a_failed_block_do_not_start():
+    # 4096 paths, 8 parts: part 0 fails at once and part 1 takes 0.2 s, so
+    # the helper may begin part 3 before the failure is raised, but no later
+    # part starts, and the run ends only after the helper has stopped
+    started, threads = [], threading.active_count()
+
+    def block(start, count):
+        started.append(start)
+        if start == 0:
+            raise TrajectoryOverflow("part 0")
+        time.sleep(0.2)
+        return (np.zeros(count),)
+
+    with pytest.raises(TrajectoryOverflow, match="part 0"):
+        estimators._map_blocks(block, 4096, workers=1)
+    assert {0, 512} <= set(started) <= {0, 512, 1536}
+    assert threading.active_count() == threads
+
+
+def test_a_run_on_one_process_does_not_load_concurrent_futures():
+    # it loads logging, about 0.6 MB of resident memory that only the
+    # process pool needs; the two threads of workers 1 do without it
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from tamedspde import estimators, integrators, noise, nonlinearity\n"
+         "cfg = integrators.SchemeConfig(4, 16, 0.1, 3, noise.white(4), "
+         "nonlinearity.dissipative_cubic(1.0), [1.0, 0, 0, 0])\n"
+         "estimators.path_norms(cfg, 32)\n"
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _failing_part(errors):
+    def block(start, count):
+        raise errors[start]
+    return block
+
+
+def test_split_block_error_follows_evolves_order():
+    # (fine step, configuration), a taming violation before an overflow,
+    # then the lowest trajectory; an error evolve did not place goes first
+    def overflow(order, trajectory, kind=TrajectoryOverflow):
+        exc = kind("x", step=1, trajectory=trajectory)
+        exc.order = order
+        return exc
+
+    cases = [
+        ((3, 1), (3, 0), 1),  # the same fine step, an earlier configuration
+        ((2, 1), (3, 0), 0),  # an earlier fine step
+    ]
+    for order0, order1, want in cases:
+        errors = {0: overflow(order0, 0), 8: overflow(order1, 8)}
+        with pytest.raises(TrajectoryOverflow) as info:
+            estimators._map_blocks(_failing_part(errors), 16, 1)
+        assert info.value is errors[8 * want]
+    errors = {0: overflow((3, 0), 0), 8: overflow((3, 0), 8,
+                                                  TamingBoundViolation)}
+    with pytest.raises(TamingBoundViolation) as info:
+        estimators._map_blocks(_failing_part(errors), 16, 1)
+    assert info.value is errors[8]
+    errors = {0: overflow((0, 0), 0), 8: MemoryError("x")}
+    with pytest.raises(MemoryError):
+        estimators._map_blocks(_failing_part(errors), 16, 1)
 
 # --- cost curve --------------------------------------------------------------------
 

@@ -217,7 +217,7 @@ def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
     assert exc_info.value.trajectory == 8
 
 
-# --- row tiles, the draw-ahead helper and the BLAS pin ---------------------------
+# --- row tiles, chunked draws and the BLAS pin ---------------------------------
 
 @pytest.mark.parametrize("J, B", [(64, 1024), (16, 1)])  # (256, 1024), (64, 1)
 @pytest.mark.parametrize("taming", [True, False])
@@ -254,24 +254,29 @@ def test_three_row_tiles_match_manual_assembly(monkeypatch, batch):
                 assert seen == tiles
 
 
-def test_draw_ahead_and_blas_pin_move_no_byte(monkeypatch):
-    # 16 x 1024 normals per step, so the helper draws 4 steps per call: a
-    # chunk of 4 and a tail of 2; a coarse level rides along
+def test_inline_draws_and_blas_pin_move_no_byte(monkeypatch):
+    # 16 x 1024 normals per step, so evolve draws 4 steps per call, a chunk
+    # of 4 and a tail of 2, on the thread that calls it; a coarse level
+    # rides along
     fine = make_cfg(dissipative_cubic(1.0), J=16, n_steps=6, seed=5)
     cfgs = [replace(fine, dt=2 * fine.dt, n_steps=3), fine]
     traj = np.arange(1024, dtype=np.uint64)
-    on_main, normal_matrix = [], rng.normal_matrix
-    monkeypatch.setattr(rng, "normal_matrix", lambda *a: on_main.append(
-        threading.current_thread() is threading.main_thread())
-        or normal_matrix(*a))
+    draws, normal_matrix = [], rng.normal_matrix
+    monkeypatch.setattr(rng, "normal_matrix", lambda *a: draws.append(
+        (threading.current_thread(), a[2])) or normal_matrix(*a))
     runs = [evolve(cfgs, traj)]
     monkeypatch.setattr(integrators, "_openblas_threads", lambda: None)
     runs.append(evolve(cfgs, traj))
-    assert on_main and not any(on_main)  # every draw on the helper
-    # allow_blowup draws on the helper too, the same chunk and tail
-    del on_main[:]
-    runs.append(evolve(cfgs, traj, allow_blowup=True))
-    assert on_main == [False, False]
+    # allow_blowup draws the same chunk and tail, here on another thread
+    caller = threading.Thread(target=lambda: runs.append(
+        evolve(cfgs, traj, allow_blowup=True)))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(runs) == 3
+    chunks = [range(0, 4), range(4, 6)]
+    main = threading.main_thread()
+    assert draws == [(main, c) for c in chunks * 2] + [(caller, c)
+                                                      for c in chunks]
     for batches in runs[1:]:
         for got, want in zip(batches, runs[0]):
             assert np.array_equal(got.x, want.x)
@@ -418,8 +423,8 @@ def test_untamed_blowup_truncates_record():
 
 def test_dead_paths_are_not_stepped(monkeypatch):
     # configs/blowup.yaml: all 100 paths are dead at state 7 of 200; the
-    # later states repeat the frozen ones without stepping, and no chunk is
-    # drawn after the one in flight (41 steps of 16 x 100 hold 2^16 normals)
+    # later states repeat the frozen ones without stepping, and only the
+    # first chunk is drawn (41 steps of 16 x 100 hold 2^16 normals)
     cfg = parse_config(str(_CONFIGS / "blowup.yaml")).scheme
     calls, draws = [], []
     step, normal_matrix = Engine.step, rng.normal_matrix
@@ -432,7 +437,7 @@ def test_dead_paths_are_not_stepped(monkeypatch):
                     on_state=lambda n, batches: states.append(batches[0].x),
                     allow_blowup=True)
     assert len(calls) == 7
-    assert draws == [range(0, 41), range(41, 82)]
+    assert draws == [range(0, 41)]
     assert paths.blowup.tolist() == [7] * 100
     assert len(states) == cfg.n_steps + 1
     assert all(np.array_equal(s, states[6]) for s in states[7:])
