@@ -7,20 +7,23 @@ invariant law, synchronous-coupling contraction rates, and the step-count
 schedule traded off against accuracy.
 
 Paths are processed in fixed blocks of ``_PATH_BLOCK`` trajectories, and a
-block whose path count is a multiple of 8 in two parts of 8-aligned width,
-which run on two threads of one process (``workers: 1``) or in a pool of
-worker processes.  The partition depends only on the number of paths,
-every trajectory's noise is addressed by its global index, an aligned part
-computes each path bitwise as the whole block does, and partial results are
-joined in part order, so neither the number of worker processes nor the
-split has an effect on any output byte.  Worker entry points are
-module-level functions bound with functools.partial to keep them picklable.
+block whose path count is a multiple of 8 in two parts of 8-aligned width.
+The parts run on lanes, the calling process and forked children, at least
+two of them even with ``workers: 1``.  The partition depends only on the
+number of paths, every trajectory's noise is addressed by its global
+index, an aligned part computes each path bitwise as the whole block does,
+and partial results are joined in part order, so neither the number of
+lanes nor the split has an effect on any output byte.  A child inherits
+the block function through the fork; only part results and errors are
+pickled back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import threading
+import os
+import pickle
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -152,10 +155,9 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
     widths are then multiples of 8, the width of numpy's float64 SIMD loops
     under AVX-512, so no part runs a remainder loop and each path is
     computed bitwise as in the whole block; an unaligned split was seen to
-    change bits, so none is made.  With workers <= 1, or one block, even
-    parts run on the calling thread and odd ones on a helper thread;
-    otherwise all go to a process pool.  The partition depends only on
-    n_paths.
+    change bits, so none is made.  The partition depends only on n_paths.
+    The parts run on min(max(2, workers), parts) lanes (see _lanes), so
+    workers 1 uses two processes too, and a run of one part forks nothing.
     block_fn returns a tuple of arrays whose last axis runs over the part's
     paths, each joined along it in part order.  A block whose parts fail
     raises what the whole block would (see _failure_rank).
@@ -168,10 +170,7 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
         h = 8 * (c // 16) if c % 8 == 0 else 0
         blocks.append([(s, h), (s + h, c - h)] if h else [(s, c)])
     parts = [part for block in blocks for part in block]
-    if workers <= 1 or len(blocks) == 1:
-        run, close = _two_threads(block_fn, parts)
-    else:
-        run, close = _process_pool(block_fn, parts, workers)
+    run, close = _lanes(block_fn, parts, min(max(2, workers), len(parts)))
     joined, k = [], 0
     try:
         for block in blocks:
@@ -189,62 +188,62 @@ def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
     return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*joined))
 
 
-def _two_threads(block_fn, parts):
-    """run(k), the result of part k, and close(): the even parts run on the
-    calling thread inside run, the odd ones in order on one helper thread,
-    which close stops after its current part."""
-    done, ready, stop = [], threading.Semaphore(0), threading.Event()
+def _lanes(block_fn, parts, n):
+    """run(k), the result of part k, and close(), with part k on lane
+    k mod n.  Lane 0 is the calling process, which runs its parts inside
+    run; every other lane is a forked child that runs its parts in order,
+    writes each one's pickled (result, exception) to a pipe and exits.
+    close kills and reaps every child.  If a child dies, run raises a
+    BrokenProcessPool naming the part's trajectories."""
+    children = []  # (pid, pipe) of lanes 1 .. n - 1
 
-    def helper():
-        for part in parts[1::2]:
-            if stop.is_set():
-                return
-            try:
-                done.append((block_fn(*part), None))
-            except BaseException as exc:  # run raises it on the caller
-                done.append((None, exc))
-            ready.release()
+    def close():
+        import signal  # here, so import pays no enum set-up for it
+        for pid, pipe in children:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
 
-    thread = threading.Thread(target=helper)
-    thread.start()
+    try:
+        for lane in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through os._exit
+                try:
+                    with open(w, "wb") as pipe:
+                        for part in parts[lane::n]:
+                            try:
+                                msg = pickle.dumps((block_fn(*part), None))
+                            except BaseException as exc:
+                                msg = pickle.dumps((None, exc))
+                            pipe.write(msg)
+                            pipe.flush()
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+    except BaseException:
+        close()
+        raise
 
     def run(k):
-        if k % 2 == 0:
+        if k % n == 0:
             return block_fn(*parts[k])
-        ready.acquire()
-        value, exc = done.pop(0)
+        try:
+            value, exc = pickle.load(children[k % n - 1][1])
+        except (EOFError, pickle.UnpicklingError) as lost:
+            # imported here, so a run whose lanes all finish does not load
+            # concurrent.futures
+            from concurrent.futures.process import BrokenProcessPool
+            s, c = parts[k]
+            raise BrokenProcessPool(
+                f"a worker process died before trajectories {s} to "
+                f"{s + c - 1} were done") from lost
         if exc is not None:
             raise exc
         return value
-
-    def close():
-        stop.set()
-        thread.join()
     return run, close
-
-
-def _process_pool(block_fn, parts, workers):
-    """run(k) and close() over a pool of min(workers, parts) processes, to
-    which every part is submitted at once; close cancels those not begun.
-    If a worker dies, run raises a BrokenProcessPool naming the part's
-    trajectories."""
-    # imported here, so a run on one process does not load it; under fork
-    # the executor starts all max_workers processes at once
-    import concurrent.futures
-
-    executor = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(workers, len(parts)))
-    futures = [executor.submit(block_fn, *part) for part in parts]
-
-    def run(k):
-        try:
-            return futures[k].result()
-        except concurrent.futures.process.BrokenProcessPool as exc:
-            s, c = parts[k]
-            raise concurrent.futures.process.BrokenProcessPool(
-                f"a worker process died before trajectories {s} to "
-                f"{s + c - 1} were done") from exc
-    return run, partial(executor.shutdown, cancel_futures=True)
 
 
 def _failure_rank(exc):

@@ -27,7 +27,7 @@ is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
 of batch, process or thread layout, so the paths of one block may be split
-into parts and stepped on two threads at once (see estimators._map_blocks).
+into parts and stepped in two processes at once (see estimators._lanes).
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ _NOISE_MODES = ("increment", "exact")
 _TILE_BYTES = 1 << 17
 
 # evolve draws at least this many normals per call, in the fewest whole
-# steps that hold them: short numpy calls on two stepping threads trade the
-# GIL at every call instead of overlapping
+# steps that hold them: one short draw per step costs more per normal
 _CHUNK_NORMALS = 1 << 16
 
 
@@ -350,16 +349,14 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
 
     The normals are drawn K steps per call (rng.normal_matrix over a
     range), K the fewest steps that hold 2^16 normals, capped at the steps
-    left: 8 at 16 modes and 512 paths, 2 at 64 modes.  Each chunk, and
-    every view of it, is dropped before the next is drawn.  Every numpy
-    call releases and retakes the GIL, so when two threads step at once
-    (estimators._map_blocks runs the two parts of a block so), short calls
-    mostly trade the GIL and K times longer draws overlap.  For the length
-    of the call numpy's bundled OpenBLAS, when found, runs on one thread,
-    so two stepping threads do not contend for the two cores inside their
-    gemms; the previous count is restored on return or raise, once the
-    last of any overlapping calls ends.  Calls on several threads at once
-    share no buffer.
+    left: 8 at 16 modes and 512 paths, 2 at 64 modes, since one short draw
+    per step costs more per normal.  Each chunk, and every view of it, is
+    dropped before the next is drawn.  For the length of the call numpy's
+    bundled OpenBLAS, when found, runs on one thread, so two stepping
+    processes (estimators._lanes runs the two parts of a block so) do not
+    contend for the two cores inside their gemms; the previous count is
+    restored on return or raise, once the last of any overlapping calls
+    ends.  Calls on several threads at once share no buffer.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1

@@ -34,9 +34,10 @@ from .errors import ConfigurationError
 from .spectral import eigenvalue
 
 
-# Scalar kernels live at module level (not closures) so Nonlinearity values
-# pickle cleanly into worker processes.  With or without ``out``, a reaction
-# kernel does the same operations in the same order: results are bitwise equal.
+# Scalar kernels live at module level (not closures), so Nonlinearity values
+# pickle: forked lanes inherit them, but a spawned process would need it.
+# With or without ``out``, a reaction kernel does the same operations in the
+# same order: results are bitwise equal.
 
 def _zero_fn(z):
     return np.zeros_like(z)

@@ -13,9 +13,8 @@ The word function is a chain of splitmix64 finalizer rounds, one per index
 field.  Normals come from Box-Muller on two 53-bit uniforms, which keeps the
 consumption per slot fixed (two words per normal, no rejection loop).
 normal_matrix() draws one step or a range of K steps per call;
-integrators.evolve asks for ranges, so when the two parts of a block step
-on two threads their draws are K times longer numpy calls, which trade the
-GIL K times less often.
+integrators.evolve asks for ranges, which pay numpy's per-call cost K
+times less often.
 A call hashes the (seed, trajectory) prefix once and runs Box-Muller one
 half at a time, in place, in a word and a scratch buffer kept per thread for
 the last (rows, trajectories) shape and grown to the most steps asked for,

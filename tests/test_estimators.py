@@ -7,12 +7,10 @@ Block layout tests assert bitwise equality across worker counts, which is
 the reproducibility contract the CSV outputs rely on.
 """
 
-import concurrent.futures
 import math
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 import warnings
@@ -459,40 +457,34 @@ def test_block_results_independent_of_workers():
 
 
 
-def test_pool_is_capped_at_the_part_count(monkeypatch):
-    # a fork pool starts all max_workers processes at once; this fake starts
-    # none and records the pool size asked for
-    sizes = []
+def _no_child_left():
+    # waitpid(-1) raises once this process has no child, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures):
-            assert cancel_futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+def test_pool_is_capped_at_the_part_count():
     # 2049 paths: two blocks of 1024, each in two parts of 512, and a block
-    # of one; each part's arrays are joined on their last (path) axis in order
-    starts, counts = estimators._map_blocks(
-        lambda s, c: (np.full((2, c), s), np.array([c])), 2049, workers=8)
+    # of one; part k runs on lane k mod min(max(2, workers), parts), lane 0
+    # in the caller, and each part's arrays are joined on their last (path)
+    # axis in order
+    starts, counts, pids = estimators._map_blocks(
+        lambda s, c: (np.full((2, c), s), np.array([c]),
+                      np.array([os.getpid()])), 2049, workers=8)
     assert np.array_equal(starts, np.repeat(
         [[0, 512, 1024, 1536, 2048]] * 2, [512] * 4 + [1], axis=1))
     assert counts.tolist() == [512] * 4 + [1]
-    estimators._map_blocks(lambda s, c: (np.array([c]),), 2049, workers=2)
-    assert sizes == [5, 2]
+    assert pids[0] == os.getpid() and len(set(pids.tolist())) == 5
+    pids, = estimators._map_blocks(lambda s, c: (np.array([os.getpid()]),),
+                                   2049, workers=2)
+    assert pids[0::2].tolist() == [os.getpid()] * 3
+    assert len(set(pids.tolist())) == 2
+    _no_child_left()
 
 
 def _die_on_third_part(start, count):
-    # the part of trajectories 1024-1535 kills its worker; the pause lets
-    # the other worker hand back the parts before it first
+    # the part of trajectories 1024-1535, on lane 2 of 3, kills its process
     if start == 1024:
-        time.sleep(0.5)
         os._exit(1)
     return (np.full(count, start),)
 
@@ -500,8 +492,41 @@ def _die_on_third_part(start, count):
 def test_dead_worker_names_its_part():
     with pytest.raises(BrokenProcessPool,
                        match="trajectories 1024 to 1535") as info:
-        estimators._map_blocks(_die_on_third_part, 2049, workers=2)
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
+        estimators._map_blocks(_die_on_third_part, 2049, workers=3)
+    assert isinstance(info.value.__cause__, EOFError)
+    _no_child_left()
+
+
+def test_no_process_outlives_a_study():
+    # after a return, a part's error and a lost child alike
+    estimators._map_blocks(lambda s, c: (np.zeros(c),), 4096, workers=3)
+    _no_child_left()
+
+    def block(start, count):
+        if start == 1536:
+            raise TrajectoryOverflow("lane 1")
+        return (np.zeros(count),)
+
+    with pytest.raises(TrajectoryOverflow, match="lane 1"):
+        estimators._map_blocks(block, 4096, workers=1)
+    _no_child_left()
+    with pytest.raises(BrokenProcessPool):
+        estimators._map_blocks(_die_on_third_part, 4096, workers=3)
+    _no_child_left()
+    cfg = make_cfg(dissipative_cubic(1.0), n_steps=3)
+    path_norms(cfg, 2048, workers=1)
+    _no_child_left()
+
+
+def test_a_one_part_run_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = make_cfg(dissipative_cubic(1.0), n_steps=3)
+    for n_paths, workers in [(7, 1), (8, 4), (100, 1), (1001, 3)]:
+        norms = path_norms(cfg, n_paths, workers)
+        assert norms.l2.shape == (4, n_paths)
 
 
 # --- two-part blocks --------------------------------------------------------------
@@ -533,25 +558,21 @@ def test_split_blocks_equal_the_whole_block_bitwise(monkeypatch, J, counts):
     # M = 256 the whole block stays above while the halves straddle it;
     # blocks of up to 2048 paths, so every count is one block
     monkeypatch.setattr(estimators, "_PATH_BLOCK", 2048)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # the two threads trade the GIL often
-    try:
-        for name, block in _split_blocks(J).items():
-            for count in counts:
-                parts = []
-                got = estimators._map_blocks(
-                    lambda s, c: parts.append((s, c)) or block(s, c),
-                    count, workers=1)
-                half = 8 * (count // 16)
-                # only a multiple of 8 is split, and into 8-aligned parts
-                assert sorted(parts) == ([(0, half), (half, count - half)]
-                                         if count % 8 == 0 else [(0, count)])
-                want = block(0, count)
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b, equal_nan=True), (name, count)
-    finally:
-        sys.setswitchinterval(interval)
+    for name, block in _split_blocks(J).items():
+        for count in counts:
+            # each part also returns its (start, count) once per path
+            *got, starts, widths = estimators._map_blocks(
+                lambda s, c: (*block(s, c), np.full(c, s), np.full(c, c)),
+                count, workers=1)
+            parts = sorted(set(zip(starts.tolist(), widths.tolist())))
+            half = 8 * (count // 16)
+            # only a multiple of 8 is split, and into 8-aligned parts
+            assert parts == ([(0, half), (half, count - half)]
+                             if count % 8 == 0 else [(0, count)])
+            want = block(0, count)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True), (name, count)
 
 
 # untamed cubic from amplitude 6: of paths 0-15 at seed 1, paths 8 and 14
@@ -583,14 +604,12 @@ def test_split_block_raises_the_whole_blocks_error(monkeypatch, workers):
     assert (info.value.step, info.value.trajectory) == (9, 8)
 
 
-def test_parts_after_a_failed_block_do_not_start():
+def test_parts_after_a_failed_block_do_not_start(tmp_path):
     # 4096 paths, 8 parts: part 0 fails at once and part 1 takes 0.2 s, so
-    # the helper may begin part 3 before the failure is raised, but no later
-    # part starts, and the run ends only after the helper has stopped
-    started, threads = [], threading.active_count()
-
+    # the child lane may begin part 3 before the failure is raised, but no
+    # later part starts, and the run ends only after the child is reaped
     def block(start, count):
-        started.append(start)
+        (tmp_path / str(start)).touch()
         if start == 0:
             raise TrajectoryOverflow("part 0")
         time.sleep(0.2)
@@ -598,13 +617,14 @@ def test_parts_after_a_failed_block_do_not_start():
 
     with pytest.raises(TrajectoryOverflow, match="part 0"):
         estimators._map_blocks(block, 4096, workers=1)
-    assert {0, 512} <= set(started) <= {0, 512, 1536}
-    assert threading.active_count() == threads
+    started = {int(path.name) for path in tmp_path.iterdir()}
+    assert {0, 512} <= started <= {0, 512, 1536}
+    _no_child_left()
 
 
-def test_a_run_on_one_process_does_not_load_concurrent_futures():
-    # it loads logging, about 0.6 MB of resident memory that only the
-    # process pool needs; the two threads of workers 1 do without it
+def test_a_run_does_not_load_concurrent_futures():
+    # it loads logging, about 0.6 MB of resident memory; only a lane that
+    # dies needs it, for its BrokenProcessPool
     src = str(Path(estimators.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -614,6 +634,7 @@ def test_a_run_on_one_process_does_not_load_concurrent_futures():
          "cfg = integrators.SchemeConfig(4, 16, 0.1, 3, noise.white(4), "
          "nonlinearity.dissipative_cubic(1.0), [1.0, 0, 0, 0])\n"
          "estimators.path_norms(cfg, 32)\n"
+         "estimators.path_norms(cfg, 2048, workers=2)\n"
          "print('concurrent.futures' in sys.modules)"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path})
@@ -639,16 +660,22 @@ def test_split_block_error_follows_evolves_order():
         ((3, 1), (3, 0), 1),  # the same fine step, an earlier configuration
         ((2, 1), (3, 0), 0),  # an earlier fine step
     ]
+
+    def assert_same(got, want):
+        # the part at 8 ran in a child lane: its error is a pickled copy
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (got.order, got.trajectory) == (want.order, want.trajectory)
+
     for order0, order1, want in cases:
         errors = {0: overflow(order0, 0), 8: overflow(order1, 8)}
         with pytest.raises(TrajectoryOverflow) as info:
             estimators._map_blocks(_failing_part(errors), 16, 1)
-        assert info.value is errors[8 * want]
+        assert_same(info.value, errors[8 * want])
     errors = {0: overflow((3, 0), 0), 8: overflow((3, 0), 8,
                                                   TamingBoundViolation)}
     with pytest.raises(TamingBoundViolation) as info:
         estimators._map_blocks(_failing_part(errors), 16, 1)
-    assert info.value is errors[8]
+    assert_same(info.value, errors[8])
     errors = {0: overflow((0, 0), 0), 8: MemoryError("x")}
     with pytest.raises(MemoryError):
         estimators._map_blocks(_failing_part(errors), 16, 1)
