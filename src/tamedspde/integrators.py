@@ -26,8 +26,8 @@ States are coefficient arrays of shape (J,) or (J, B); every operation here
 is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
-of batch, process or thread layout, so the paths of one block may be split
-into parts and stepped in two processes at once (see estimators._lanes).
+of batch or process layout, so the paths of one block may be split into
+parts and stepped in two processes at once (see estimators._lanes).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,14 +140,15 @@ class Engine:
 
     step() refreshes ``last_drift_l2`` with the per-path L2 norm of the
     tamed drift contribution, whose bound :class:`PathBatch` checks, and
-    writes its intermediates into a workspace shared by all engines; the
-    states it returns are new arrays.
+    writes its intermediates into one workspace per process, shared by all
+    engines, so two threads must not step at once; the states it returns
+    are new arrays.
     """
 
-    # step()'s buffers for the last (n_nodes, tile rows, state shape) of
-    # each thread, as _work.key and _work.buffers, shared by all engines; a
-    # step writes each before reading it and returns none of them
-    _work = threading.local()
+    # step()'s (key, buffers) for the last key (n_nodes, tile rows, state
+    # shape) of this process, shared by all engines; a step writes each
+    # buffer before reading it and returns none of them
+    _work = (None, None)
 
     def __init__(self, cfg: SchemeConfig):
         self.cfg = cfg
@@ -190,13 +190,12 @@ class Engine:
         m = self.basis.shape[0]
         rows = (m if x.size == len(x)  # node rows per tile
                 else min(m, max(1, _TILE_BYTES // x[0].nbytes)))
-        key, work = (m, rows) + x.shape, Engine._work
-        if getattr(work, "key", None) != key:
-            work.buffers = (np.empty((m + rows,) + x.shape[1:]),
-                            np.empty((rows + 1,) + x.shape[1:]),
-                            np.empty(x.shape))
-            work.key = key
-        nodes, sq, coeffs = work.buffers
+        key = (m, rows) + x.shape
+        if Engine._work[0] != key:
+            Engine._work = key, (np.empty((m + rows,) + x.shape[1:]),
+                                 np.empty((rows + 1,) + x.shape[1:]),
+                                 np.empty(x.shape))
+        nodes, sq, coeffs = Engine._work[1]
         total = sq[0, ...]  # a view, also of a 1-d sq
         inc = self.noise_mode == "increment"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -297,34 +296,23 @@ def _openblas_threads():
     return None
 
 
-# _one_blas_thread's nesting depth and the count it restores on last exit
-_blas_lock = threading.Lock()
-_blas_pin = {"depth": 0, "before": None}
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block and
-    restore its count after; do nothing where that library is not found.
-    Blocks may overlap, on any threads: the first entry sets one thread and
-    the last exit restores the count the first one found."""
+    restore the count it found on return and on error; do nothing where
+    that library is not found.  A nested block finds and restores 1, so the
+    pin holds until the outer block exits."""
     blas = _openblas_threads()
     if blas is None:
         yield
         return
     get, set_ = blas
-    with _blas_lock:
-        if _blas_pin["depth"] == 0:
-            _blas_pin["before"] = get()
-            set_(1)
-        _blas_pin["depth"] += 1
+    before = get()
+    set_(1)
     try:
         yield
     finally:
-        with _blas_lock:
-            _blas_pin["depth"] -= 1
-            if _blas_pin["depth"] == 0:
-                set_(_blas_pin["before"])
+        set_(before)
 
 
 def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
@@ -355,8 +343,8 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
     bundled OpenBLAS, when found, runs on one thread, so two stepping
     processes (estimators._lanes runs the two parts of a block so) do not
     contend for the two cores inside their gemms; the previous count is
-    restored on return or raise, once the last of any overlapping calls
-    ends.  Calls on several threads at once share no buffer.
+    restored on return and on error.  The workspaces are one per process:
+    two threads must not call evolve at once; parallel paths run in lanes.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1

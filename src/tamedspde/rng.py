@@ -16,15 +16,13 @@ normal_matrix() draws one step or a range of K steps per call;
 integrators.evolve asks for ranges, which pay numpy's per-call cost K
 times less often.
 A call hashes the (seed, trajectory) prefix once and runs Box-Muller one
-half at a time, in place, in a word and a scratch buffer kept per thread for
-the last (rows, trajectories) shape and grown to the most steps asked for,
-so a stream of same-shape calls allocates little beyond the arrays it
-returns, and calls from two threads at once share no buffer.
+half at a time, in place, in a word and a scratch buffer kept once per
+process for the last (rows, trajectories) shape and grown to the most steps
+asked for, so a stream of same-shape calls allocates little beyond the
+arrays it returns; two threads must not draw at once.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -35,12 +33,11 @@ _SLOT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 _TWO_POW_MINUS_53 = 2.0 ** -53
 
-# normal_matrix()'s buffers for the last (n_rows, B) of each thread, as
-# _work.key and _work.buffers: the slot salts of the radius and angle
-# halves, then a word buffer and a scratch buffer of (K, n_rows, B) for the
-# most steps K asked for since; a call writes the prefix it uses before
-# reading it and returns none of them
-_work = threading.local()
+# normal_matrix()'s (key, buffers) for this process's last key (n_rows, B):
+# the radius and angle halves' slot salts, then word and scratch buffers of
+# (K, n_rows, B) for the most steps K asked for since; a call writes the
+# prefix it uses before reading it and returns none of them
+_work = (None, None)
 
 
 def _mix(z, tmp):
@@ -97,20 +94,21 @@ def normal_matrix(seed: int, trajectories, step, n_rows: int) -> np.ndarray:
     where slot k's word is _mix(key ^ k * _SLOT_SALT) and key hashes
     (seed, trajectory, step).  step may also be a range of K consecutive
     steps: the result is then a (K, n_rows, B) array whose [k] is bitwise
-    the int call at step.start + k.
+    the int call at step.start + k.  It keeps one workspace per process,
+    so two threads must not call it at once.
     """
+    global _work
     steps = step if isinstance(step, range) else range(step, step + 1)
     if steps.step != 1:
         raise ValueError("a range of steps must be consecutive")
     h = _keys(seed, trajectories, steps)[:, None, :]
     key, shape = (n_rows, h.shape[2]), (len(steps), n_rows, h.shape[2])
-    if getattr(_work, "key", None) != key or len(_work.buffers[1]) < shape[0]:
+    if _work[0] != key or len(_work[1][1]) < shape[0]:
         slots = np.arange(2 * n_rows, dtype=np.uint64) * _SLOT_SALT
-        _work.buffers = None  # free the old pair before the new one
-        _work.buffers = (slots.reshape(n_rows, 2).T[:, :, None].copy(),
-                         np.empty(shape, np.uint64), np.empty(shape, np.uint64))
-        _work.key = key
-    slots, w, tmp = _work.buffers
+        _work = None  # free the old pair before the new one
+        _work = key, (slots.reshape(n_rows, 2).T[:, :, None].copy(),
+                      np.empty(shape, np.uint64), np.empty(shape, np.uint64))
+    slots, w, tmp = _work[1]
     w, tmp = w[:shape[0]], tmp[:shape[0]]
     out = np.empty(shape)
     # sqrt(-2.0 * log(u[2j])) * cos((2.0 * pi) * u[2j + 1]), op by op: the

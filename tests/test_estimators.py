@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -527,6 +528,28 @@ def test_a_one_part_run_forks_nothing(monkeypatch):
     for n_paths, workers in [(7, 1), (8, 4), (100, 1), (1001, 3)]:
         norms = path_norms(cfg, n_paths, workers)
         assert norms.l2.shape == (4, n_paths)
+
+
+def test_no_study_starts_a_thread(monkeypatch):
+    # the step and draw workspaces are one per process, so a helper thread
+    # would race on them; parts run in parallel only in forked lanes
+    def no_thread(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    lanes, real = [], estimators._lanes
+    monkeypatch.setattr(estimators, "_lanes", lambda fn, parts, n: (
+        lanes.append((len(parts), n)) or real(fn, parts, n)))
+    cfg = make_cfg(dissipative_cubic(1.0), n_steps=3)
+    for workers in (1, 3):
+        assert path_norms(cfg, 2048, workers).l2.shape == (4, 2048)
+        study = weak_order_study(replace(cfg, n_steps=10),
+                                 [0.25, 0.125, 0.0625], EXP_NEG_L2SQ, 32,
+                                 workers)
+        assert len(study.levels) == 3
+        study = ergodic_average(cfg, EXP_NEG_L2SQ, 0.0, 32, workers)
+        assert study.ensemble.n_samples == 32
+    assert lanes == [(4, 2), (2, 2), (2, 2), (4, 3), (2, 2), (2, 2)]
 
 
 # --- two-part blocks --------------------------------------------------------------

@@ -10,7 +10,6 @@ decay identities.
 """
 
 import math
-import threading
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -256,27 +255,19 @@ def test_three_row_tiles_match_manual_assembly(monkeypatch, batch):
 
 def test_inline_draws_and_blas_pin_move_no_byte(monkeypatch):
     # 16 x 1024 normals per step, so evolve draws 4 steps per call, a chunk
-    # of 4 and a tail of 2, on the thread that calls it; a coarse level
-    # rides along
+    # of 4 and a tail of 2; a coarse level rides along
     fine = make_cfg(dissipative_cubic(1.0), J=16, n_steps=6, seed=5)
     cfgs = [replace(fine, dt=2 * fine.dt, n_steps=3), fine]
     traj = np.arange(1024, dtype=np.uint64)
     draws, normal_matrix = [], rng.normal_matrix
     monkeypatch.setattr(rng, "normal_matrix", lambda *a: draws.append(
-        (threading.current_thread(), a[2])) or normal_matrix(*a))
+        a[2]) or normal_matrix(*a))
     runs = [evolve(cfgs, traj)]
     monkeypatch.setattr(integrators, "_openblas_threads", lambda: None)
     runs.append(evolve(cfgs, traj))
-    # allow_blowup draws the same chunk and tail, here on another thread
-    caller = threading.Thread(target=lambda: runs.append(
-        evolve(cfgs, traj, allow_blowup=True)))
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive() and len(runs) == 3
-    chunks = [range(0, 4), range(4, 6)]
-    main = threading.main_thread()
-    assert draws == [(main, c) for c in chunks * 2] + [(caller, c)
-                                                      for c in chunks]
+    # allow_blowup draws the same chunk and tail
+    runs.append(evolve(cfgs, traj, allow_blowup=True))
+    assert draws == [range(0, 4), range(4, 6)] * 3
     for batches in runs[1:]:
         for got, want in zip(batches, runs[0]):
             assert np.array_equal(got.x, want.x)
@@ -302,38 +293,16 @@ def test_chunked_draws_with_a_tail_equal_per_step_draws(monkeypatch, mode):
         assert np.array_equal(a.x, b.x)
 
 
-def test_evolve_from_two_threads_equals_serial_runs():
-    # two threads stepping one shape at once must not share step buffers
-    cfgs = [make_cfg(dissipative_cubic(1.0), J=16, n_steps=64, seed=seed)
-            for seed in (1, 2)]
-    traj = np.arange(1024, dtype=np.uint64)
-    want = [evolve([cfg], traj)[0].x for cfg in cfgs]
-    got = [[], []]
-
-    def run(k):
-        for _ in range(5):
-            got[k].append(evolve([cfgs[k]], traj)[0].x)
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=120)
-    assert not any(th.is_alive() for th in threads)
-    for k in range(2):
-        assert len(got[k]) == 5
-        assert all(np.array_equal(x, want[k]) for x in got[k]), k
-
-
 def test_blas_pins_nest(monkeypatch):
     counts = [3]
     monkeypatch.setattr(integrators, "_openblas_threads",
                         lambda: (lambda: counts[-1], counts.append))
     with integrators._one_blas_thread():
         with integrators._one_blas_thread():
-            assert counts == [3, 1]
-        assert counts == [3, 1]  # an inner exit leaves the pin on
-    assert counts == [3, 1, 3]
+            assert counts[-1] == 1
+        assert counts[-1] == 1  # an inner exit restores the 1 it found
+    assert counts[-1] == 3
+    assert counts == [3, 1, 1, 1, 3]
 
 
 @pytest.mark.parametrize("overflow", [False, True])

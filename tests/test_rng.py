@@ -1,8 +1,6 @@
 """Counter-based generator: addressing, determinism, and Gaussian quality."""
 
 import hashlib
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -210,32 +208,3 @@ def test_range_call_allocates_little_beyond_its_result(tail):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * x.nbytes, peak / x.nbytes
-
-
-def test_concurrent_draws_equal_serial_ones():
-    # threads drawing one shape at once would share one workspace's words;
-    # each thread has its own, so every draw is the serial one
-    t = np.arange(1024, dtype=np.uint64)
-    calls = [[(k, t[:n], step, rows) for step in range(40)]
-             for k, (n, rows) in enumerate([(1024, 16), (1024, 16), (333, 64),
-                                            (333, 64)])]
-    want = [[rng.normal_matrix(*c) for c in thread] for thread in calls]
-    got = [None] * len(calls)
-
-    def run(k):
-        got[k] = [rng.normal_matrix(*c) for c in calls[k]]
-
-    threads = [threading.Thread(target=run, args=(k,))
-               for k in range(len(calls))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for k in range(len(calls)):
-        assert all(np.array_equal(a, b) for a, b in zip(got[k], want[k])), k
