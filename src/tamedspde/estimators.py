@@ -7,15 +7,16 @@ invariant law, synchronous-coupling contraction rates, and the step-count
 schedule traded off against accuracy.
 
 Paths are processed in fixed blocks of ``_PATH_BLOCK`` trajectories, and a
-block whose path count is a multiple of 8 in two parts of 8-aligned width.
-The parts run on lanes, the calling process and forked children, at least
+block whose path count is a multiple of 8 in two parts of 8-aligned width,
+each cut again into parts of at most ``_PART_VALUES`` state values.  The
+parts run on lanes, the calling process and forked children, at least
 two of them even with ``workers: 1``.  The partition depends only on the
-number of paths, every trajectory's noise is addressed by its global
-index, an aligned part computes each path bitwise as the whole block does,
-and partial results are joined in part order, so neither the number of
-lanes nor the split has an effect on any output byte.  A child inherits
-the block function through the fork; only part results and errors are
-pickled back.
+number of paths and the number of modes, every trajectory's noise is
+addressed by its global index, an aligned part computes each path bitwise
+as the whole block does, and partial results are joined in part order, so
+neither the number of lanes nor the split has an effect on any output
+byte.  A child inherits the block function through the fork; only part
+results and errors are pickled back.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .errors import ConfigurationError, TamingBoundViolation
 from .integrators import SchemeConfig, evolve, whole_steps
 
 _PATH_BLOCK = 1024
+
+# an aligned part holds at most this many state values (paths times modes),
+# so a lane's memory stays that of 512 paths at 32 modes as J grows
+_PART_VALUES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +152,37 @@ def _warn_if_rough(functional: TestFunctional) -> None:
 # ---------------------------------------------------------------------------
 # block-parallel path engine
 
-def _map_blocks(block_fn, n_paths: int, workers: int) -> tuple:
+def _map_blocks(block_fn, n_paths: int, n_modes: int, workers: int) -> tuple:
     """Apply block_fn(start, count) over the fixed partition into parts.
 
     Paths go in blocks of _PATH_BLOCK, and a block of c >= 16 paths, c a
-    multiple of 8, in two parts: 8 floor(c / 16) paths and the rest.  Both
+    multiple of 8, in two parts: 8 floor(c / 16) paths and the rest.  Each
+    is cut again, in order, into parts of w = 8 floor(_PART_VALUES /
+    (8 n_modes)) paths (at least 8) and a shorter rest: 512 + 512 paths for
+    a block of 1024 at n_modes <= 32, four parts of 256 at 64 modes.  All
     widths are then multiples of 8, the width of numpy's float64 SIMD loops
     under AVX-512, so no part runs a remainder loop and each path is
     computed bitwise as in the whole block; an unaligned split was seen to
-    change bits, so none is made.  The partition depends only on n_paths.
-    The parts run on min(max(2, workers), parts) lanes (see _lanes), so
-    workers 1 uses two processes too, and a run of one part forks nothing.
-    block_fn returns a tuple of arrays whose last axis runs over the part's
-    paths, each joined along it in part order.  A block whose parts fail
-    raises what the whole block would (see _failure_rank).
+    change bits, so none is made.  The partition depends only on n_paths
+    and n_modes.  The parts run on min(max(2, workers), parts) lanes (see
+    _lanes), so workers 1 uses two processes too, and a run of one part
+    forks nothing.  block_fn returns a tuple of arrays whose last axis runs
+    over the part's paths, each joined along it in part order.  A block
+    whose parts fail raises what the whole block would (see _failure_rank).
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
+    w = 8 * max(1, _PART_VALUES // (8 * n_modes))
     blocks = []  # the (start, count) parts of each block
     for s in range(0, n_paths, _PATH_BLOCK):
         c = min(_PATH_BLOCK, n_paths - s)
-        h = 8 * (c // 16) if c % 8 == 0 else 0
-        blocks.append([(s, h), (s + h, c - h)] if h else [(s, c)])
+        if c % 8:
+            blocks.append([(s, c)])
+            continue
+        h = 8 * (c // 16)
+        blocks.append([(a + i, min(w, n - i))
+                       for a, n in ((s, h), (s + h, c - h))
+                       for i in range(0, n, w)])
     parts = [part for block in blocks for part in block]
     run, close = _lanes(block_fn, parts, min(max(2, workers), len(parts)))
     joined, k = [], 0
@@ -325,7 +339,7 @@ def estimate_moment(cfg: SchemeConfig, power: int, norm: str, checkpoints,
             f"{cfg.horizon} (n_steps={cfg.n_steps} of dt={cfg.dt})")
     values, blowup = _map_blocks(
         partial(_norm_block, cfg=cfg, steps=steps, norms=(norm,)),
-        n_paths, workers)
+        n_paths, cfg.n_modes, workers)
     frac = float((blowup >= 0).mean())
     if frac > 0.0:
         return MomentStudy(blowup_fraction=frac, estimates=None)
@@ -369,7 +383,7 @@ def path_norms(cfg: SchemeConfig, n_paths: int,
     """
     l2, sup, blowup = _map_blocks(
         partial(_norm_block, cfg=cfg, steps=range(cfg.n_steps + 1),
-                norms=("l2", "sup")), n_paths, workers)
+                norms=("l2", "sup")), n_paths, cfg.n_modes, workers)
     return PathNorms(times=cfg.dt * np.arange(cfg.n_steps + 1), l2=l2,
                      sup=sup, blowup_steps=blowup)
 
@@ -436,7 +450,7 @@ def weak_order_study(cfg: SchemeConfig, dt_list, functional: TestFunctional,
 
     phi, = _map_blocks(                          # (n_levels, n_paths)
         partial(_weak_block, levels=runs, functional=functional),
-        n_paths, workers)
+        n_paths, cfg.n_modes, workers)
 
     ref = phi[-1]
     levels = []
@@ -500,7 +514,7 @@ def ergodic_average(cfg: SchemeConfig, functional: TestFunctional,
     finals, path_means = _map_blocks(
         partial(_ergodic_block, cfg=cfg, functional=functional,
                 first_step=first_step),
-        n_paths, workers)
+        n_paths, cfg.n_modes, workers)
     return ErgodicStudy(ensemble=MCEstimate.from_samples(finals),
                         time_average=MCEstimate.from_samples(path_means))
 
@@ -564,7 +578,7 @@ def contraction_rate(cfg: SchemeConfig, x0_b, n_paths: int,
     if cfg.n_steps < 2:
         raise ConfigurationError("need n_steps >= 2 to fit a decay rate")
     slopes, n_pts = _map_blocks(partial(_contraction_block, pair=pair),
-                                n_paths, workers)
+                                n_paths, cfg.n_modes, workers)
     keep = n_pts >= 2
     if not keep.any():
         raise ConfigurationError(

@@ -27,7 +27,8 @@ is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
 of batch or process layout, so the paths of one block may be split into
-parts and stepped in two processes at once (see estimators._lanes).
+parts and stepped in two processes at once (see estimators._lanes).  The
+step and draw workspaces last one evolve call.
 """
 
 from __future__ import annotations
@@ -141,13 +142,14 @@ class Engine:
     step() refreshes ``last_drift_l2`` with the per-path L2 norm of the
     tamed drift contribution, whose bound :class:`PathBatch` checks, and
     writes its intermediates into one workspace per process, shared by all
-    engines, so two threads must not step at once; the states it returns
-    are new arrays.
+    engines and dropped when evolve returns, so two threads must not step
+    at once; the states it returns are new arrays.
     """
 
     # step()'s (key, buffers) for the last key (n_nodes, tile rows, state
     # shape) of this process, shared by all engines; a step writes each
-    # buffer before reading it and returns none of them
+    # buffer before reading it and returns none of them, and evolve drops
+    # them on return and on error
     _work = (None, None)
 
     def __init__(self, cfg: SchemeConfig):
@@ -337,14 +339,17 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
 
     The normals are drawn K steps per call (rng.normal_matrix over a
     range), K the fewest steps that hold 2^16 normals, capped at the steps
-    left: 8 at 16 modes and 512 paths, 2 at 64 modes, since one short draw
-    per step costs more per normal.  Each chunk, and every view of it, is
-    dropped before the next is drawn.  For the length of the call numpy's
-    bundled OpenBLAS, when found, runs on one thread, so two stepping
-    processes (estimators._lanes runs the two parts of a block so) do not
-    contend for the two cores inside their gemms; the previous count is
-    restored on return and on error.  The workspaces are one per process:
-    two threads must not call evolve at once; parallel paths run in lanes.
+    left: 8 at 16 modes and 512 paths, 4 at 64 modes and 256 paths, since
+    one short draw per step costs more per normal.  Each chunk, and every
+    view of it, is dropped before the next is drawn.  For the length of
+    the call numpy's bundled OpenBLAS, when found, runs on one thread, so
+    two stepping processes (estimators._lanes runs a block's parts so) do
+    not contend for the two cores inside their gemms; the previous count is
+    restored on return and on error.  The workspaces of Engine.step and
+    rng.normal_matrix are one per process and last one call: both are
+    dropped on return and on error, so a lane holds only the buffers of
+    the part it steps.  Two threads must not call evolve at once; parallel
+    paths run in lanes.
     """
     fine = cfgs[-1]
     ratios = [fine.n_steps // cfg.n_steps if cfg.n_steps else 1
@@ -367,35 +372,39 @@ def evolve(cfgs, traj: np.ndarray, on_state=None, allow_blowup: bool = False):
                   if fine.noise_mode == "exact" else None)
 
     per_call = -(-_CHUNK_NORMALS // max(1, fine.n_modes * len(traj)))
-    with _one_blas_thread():
-        if on_state is not None:
-            on_state(0, batches)
-        for j in range(fine.n_steps):
-            if not all(paths.frozen for paths in batches):
-                if j % per_call == 0:
-                    chunk = None  # freed before the next one is drawn
-                    chunk = rng.normal_matrix(
-                        fine.seed, traj,
-                        range(j, min(j + per_call, fine.n_steps)),
-                        fine.n_modes)
-                noise = batches[-1].engine.noise_from_gaussians(
-                    chunk[j % per_call])
-                for i, (paths, r, acc) in enumerate(
-                        zip(batches, ratios, sums)):
-                    if r == 1:
-                        acc = noise
-                    elif j % r == 0:  # numpy's sum starts from +0.0, not a copy
-                        np.add(noise, 0.0, out=acc)
-                    else:
-                        if fine_decay is not None:
-                            acc *= fine_decay
-                        acc += noise
-                    if j % r == r - 1:
-                        try:
-                            paths.advance(acc)
-                        except TrajectoryOverflow as exc:
-                            exc.order = (j, i)
-                            raise
+    try:
+        with _one_blas_thread():
             if on_state is not None:
-                on_state(j + 1, batches)
+                on_state(0, batches)
+            for j in range(fine.n_steps):
+                if not all(paths.frozen for paths in batches):
+                    if j % per_call == 0:
+                        chunk = None  # freed before the next one is drawn
+                        chunk = rng.normal_matrix(
+                            fine.seed, traj,
+                            range(j, min(j + per_call, fine.n_steps)),
+                            fine.n_modes)
+                    noise = batches[-1].engine.noise_from_gaussians(
+                        chunk[j % per_call])
+                    for i, (paths, r, acc) in enumerate(
+                            zip(batches, ratios, sums)):
+                        if r == 1:
+                            acc = noise
+                        elif j % r == 0:  # numpy's sum starts from +0.0,
+                            np.add(noise, 0.0, out=acc)  # not a copy
+                        else:
+                            if fine_decay is not None:
+                                acc *= fine_decay
+                            acc += noise
+                        if j % r == r - 1:
+                            try:
+                                paths.advance(acc)
+                            except TrajectoryOverflow as exc:
+                                exc.order = (j, i)
+                                raise
+                if on_state is not None:
+                    on_state(j + 1, batches)
+    finally:  # the workspaces last one call
+        Engine._work = (None, None)
+        rng._work = (None, None)
     return batches

@@ -19,7 +19,8 @@ A call hashes the (seed, trajectory) prefix once and runs Box-Muller one
 half at a time, in place, in a word and a scratch buffer kept once per
 process for the last (rows, trajectories) shape and grown to the most steps
 asked for, so a stream of same-shape calls allocates little beyond the
-arrays it returns; two threads must not draw at once.
+arrays it returns; integrators.evolve drops them when it returns, so they
+last one evolve call.  Two threads must not draw at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ _TWO_POW_MINUS_53 = 2.0 ** -53
 # normal_matrix()'s (key, buffers) for this process's last key (n_rows, B):
 # the radius and angle halves' slot salts, then word and scratch buffers of
 # (K, n_rows, B) for the most steps K asked for since; a call writes the
-# prefix it uses before reading it and returns none of them
+# prefix it uses before reading it and returns none of them, and
+# integrators.evolve drops them on return and on error
 _work = (None, None)
 
 
@@ -95,7 +97,8 @@ def normal_matrix(seed: int, trajectories, step, n_rows: int) -> np.ndarray:
     (seed, trajectory, step).  step may also be a range of K consecutive
     steps: the result is then a (K, n_rows, B) array whose [k] is bitwise
     the int call at step.start + k.  It keeps one workspace per process,
-    so two threads must not call it at once.
+    so two threads must not call it at once; integrators.evolve drops it
+    when it returns, so the draws of one evolve call share it.
     """
     global _work
     steps = step if isinstance(step, range) else range(step, step + 1)

@@ -357,6 +357,20 @@ _DETERMINISM_CONFIGS = {
         "params": {"functional": "exp_neg_l2sq"},
         "output": {"formats": ["csv"]},
     },
+    # 64 modes: each half of the first block is cut into parts of 256
+    # paths, at most 2^14 state values
+    "weak-order-64": {
+        "experiment": "weak-order",
+        "model": {"nonlinearity": {"name": "dissipative_cubic", "c": 1.0},
+                  "covariance": {"kind": "power_decay", "decay": 3.0},
+                  "x0": {"kind": "unit_mode", "mode": 1},
+                  "n_modes": 64, "n_nodes": 256},
+        "discretization": {"horizon": 1.0,
+                           "dt_list": [2.0 ** -k for k in range(2, 7)]},
+        "sampling": {"n_paths": 1100, "seed": 0},
+        "params": {"functional": "exp_neg_l2sq"},
+        "output": {"formats": ["csv"]},
+    },
     # two blocks of untamed cubic paths, some of which blow up
     "simulate": {
         "experiment": "simulate",
@@ -378,12 +392,13 @@ def test_worker_count_does_not_change_output_bytes(tmp_path):
         cfg_path = tmp_path / f"{name}.yaml"
         cfg_path.write_text(yaml.safe_dump(mapping))
         payloads = []
+        experiment = mapping["experiment"]
         for workers in (1, 2):
             out = tmp_path / f"{name}-w{workers}"
-            code = cli.main([name, "--config", str(cfg_path),
+            code = cli.main([experiment, "--config", str(cfg_path),
                              "--workers", str(workers), "--out", str(out)])
             assert code == 0
-            payloads.append((out / f"{name}.csv").read_bytes())
+            payloads.append((out / f"{experiment}.csv").read_bytes())
         if payloads[0] != payloads[1]:
             mismatched.append(name)
     elapsed = time.perf_counter() - t0

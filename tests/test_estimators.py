@@ -471,13 +471,13 @@ def test_pool_is_capped_at_the_part_count():
     # axis in order
     starts, counts, pids = estimators._map_blocks(
         lambda s, c: (np.full((2, c), s), np.array([c]),
-                      np.array([os.getpid()])), 2049, workers=8)
+                      np.array([os.getpid()])), 2049, 16, workers=8)
     assert np.array_equal(starts, np.repeat(
         [[0, 512, 1024, 1536, 2048]] * 2, [512] * 4 + [1], axis=1))
     assert counts.tolist() == [512] * 4 + [1]
     assert pids[0] == os.getpid() and len(set(pids.tolist())) == 5
     pids, = estimators._map_blocks(lambda s, c: (np.array([os.getpid()]),),
-                                   2049, workers=2)
+                                   2049, 16, workers=2)
     assert pids[0::2].tolist() == [os.getpid()] * 3
     assert len(set(pids.tolist())) == 2
     _no_child_left()
@@ -493,14 +493,14 @@ def _die_on_third_part(start, count):
 def test_dead_worker_names_its_part():
     with pytest.raises(BrokenProcessPool,
                        match="trajectories 1024 to 1535") as info:
-        estimators._map_blocks(_die_on_third_part, 2049, workers=3)
+        estimators._map_blocks(_die_on_third_part, 2049, 16, workers=3)
     assert isinstance(info.value.__cause__, EOFError)
     _no_child_left()
 
 
 def test_no_process_outlives_a_study():
     # after a return, a part's error and a lost child alike
-    estimators._map_blocks(lambda s, c: (np.zeros(c),), 4096, workers=3)
+    estimators._map_blocks(lambda s, c: (np.zeros(c),), 4096, 16, workers=3)
     _no_child_left()
 
     def block(start, count):
@@ -509,10 +509,10 @@ def test_no_process_outlives_a_study():
         return (np.zeros(count),)
 
     with pytest.raises(TrajectoryOverflow, match="lane 1"):
-        estimators._map_blocks(block, 4096, workers=1)
+        estimators._map_blocks(block, 4096, 16, workers=1)
     _no_child_left()
     with pytest.raises(BrokenProcessPool):
-        estimators._map_blocks(_die_on_third_part, 4096, workers=3)
+        estimators._map_blocks(_die_on_third_part, 4096, 16, workers=3)
     _no_child_left()
     cfg = make_cfg(dissipative_cubic(1.0), n_steps=3)
     path_norms(cfg, 2048, workers=1)
@@ -573,25 +573,35 @@ def _split_blocks(J):
 
 
 @pytest.mark.parametrize("J, counts", [(16, range(968, 1033)),
-                                       (64, range(64, 129))])
+                                       (64, range(64, 129)),
+                                       (64, range(1016, 1033))])
 def test_split_blocks_equal_the_whole_block_bitwise(monkeypatch, J, counts):
     # every residue mod 8, on both sides of OpenBLAS's small-matrix gemm
     # limit (M J count of about 10^6): at J = 16, M = 64 the whole block
     # crosses it near count 977 while the halves stay below, at J = 64,
     # M = 256 the whole block stays above while the halves straddle it;
-    # blocks of up to 2048 paths, so every count is one block
+    # near 1024 at J = 64 each half is cut again into parts of at most
+    # 2^14 state values, 256 paths; blocks of up to 2048 paths, so every
+    # count is one block
     monkeypatch.setattr(estimators, "_PATH_BLOCK", 2048)
     for name, block in _split_blocks(J).items():
         for count in counts:
             # each part also returns its (start, count) once per path
             *got, starts, widths = estimators._map_blocks(
                 lambda s, c: (*block(s, c), np.full(c, s), np.full(c, c)),
-                count, workers=1)
+                count, J, workers=1)
             parts = sorted(set(zip(starts.tolist(), widths.tolist())))
             half = 8 * (count // 16)
-            # only a multiple of 8 is split, and into 8-aligned parts
-            assert parts == ([(0, half), (half, count - half)]
-                             if count % 8 == 0 else [(0, count)])
+            # only a multiple of 8 is split, into 8-aligned halves, and
+            # each half into parts of 2^14 / J paths and a rest
+            cap = 2 ** 14 // J
+            layout = [(a, min(cap, end - a))
+                      for lo, end in ((0, half), (half, count))
+                      for a in range(lo, end, cap)]
+            assert parts == (layout if count % 8 == 0 else [(0, count)])
+            if count == 1024 and J == 64:
+                assert parts == [(0, 256), (256, 256), (512, 256),
+                                 (768, 256)]
             want = block(0, count)
             assert len(got) == len(want)
             for a, b in zip(got, want):
@@ -621,7 +631,7 @@ def test_split_block_raises_the_whole_blocks_error(monkeypatch, workers):
     assert (second.step, second.trajectory) == (9, 8)
     monkeypatch.setattr(estimators, "_PATH_BLOCK", 16)
     with pytest.raises(TrajectoryOverflow) as info:
-        estimators._map_blocks(block, 16 * workers, workers)
+        estimators._map_blocks(block, 16 * workers, 8, workers)
     assert type(info.value) is type(whole)
     assert str(info.value) == str(whole)
     assert (info.value.step, info.value.trajectory) == (9, 8)
@@ -639,7 +649,7 @@ def test_parts_after_a_failed_block_do_not_start(tmp_path):
         return (np.zeros(count),)
 
     with pytest.raises(TrajectoryOverflow, match="part 0"):
-        estimators._map_blocks(block, 4096, workers=1)
+        estimators._map_blocks(block, 4096, 16, workers=1)
     started = {int(path.name) for path in tmp_path.iterdir()}
     assert {0, 512} <= started <= {0, 512, 1536}
     _no_child_left()
@@ -692,16 +702,16 @@ def test_split_block_error_follows_evolves_order():
     for order0, order1, want in cases:
         errors = {0: overflow(order0, 0), 8: overflow(order1, 8)}
         with pytest.raises(TrajectoryOverflow) as info:
-            estimators._map_blocks(_failing_part(errors), 16, 1)
+            estimators._map_blocks(_failing_part(errors), 16, 8, 1)
         assert_same(info.value, errors[8 * want])
     errors = {0: overflow((3, 0), 0), 8: overflow((3, 0), 8,
                                                   TamingBoundViolation)}
     with pytest.raises(TamingBoundViolation) as info:
-        estimators._map_blocks(_failing_part(errors), 16, 1)
+        estimators._map_blocks(_failing_part(errors), 16, 8, 1)
     assert_same(info.value, errors[8])
     errors = {0: overflow((0, 0), 0), 8: MemoryError("x")}
     with pytest.raises(MemoryError):
-        estimators._map_blocks(_failing_part(errors), 16, 1)
+        estimators._map_blocks(_failing_part(errors), 16, 8, 1)
 
 # --- cost curve --------------------------------------------------------------------
 

@@ -326,6 +326,26 @@ def test_blas_count_is_restored(monkeypatch, overflow):
     assert (real[0]() if real else None) == before
 
 
+@pytest.mark.parametrize("overflow", [False, True])
+def test_evolve_drops_its_workspaces(overflow):
+    # the step and draw buffers last one call, on return and on error, so
+    # a lane holds only those of the part it steps; untamed cubic paths
+    # 0-15 from amplitude 6 overflow at state 9 or 10
+    cfg = (make_cfg(dissipative_cubic(0.0), J=8, dt=0.25, n_steps=60,
+                    seed=1, taming=False, x0=unit_mode(8, 1, 6.0))
+           if overflow else make_cfg(dissipative_cubic(1.0), n_steps=3))
+    held = []
+
+    def on_state(n, batches):
+        held.append((Engine._work[1] is not None, rng._work[1] is not None))
+
+    with pytest.raises(TrajectoryOverflow) if overflow else nullcontext():
+        evolve([cfg], np.arange(16, dtype=np.uint64), on_state=on_state)
+    assert held[1:] == [(True, True)] * (8 if overflow else 3)
+    assert Engine._work == (None, None)
+    assert rng._work == (None, None)
+
+
 # --- the simulate study ------------------------------------------------------------
 
 def test_simulate_record_shapes_and_determinism():
