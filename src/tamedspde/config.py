@@ -306,6 +306,20 @@ def build_x0(spec, n_modes: int, n_nodes: int,
     return _X0.build(where, spec, n_modes, n_nodes)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # (tag, text) of each key; a collection key never matches
+        for key, _ in node.value:
+            if (key.tag, key.value) in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key.value!r}", key.start_mark)
+            seen.append((key.tag, key.value))
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Load, default-fill, and validate a config file.
 
@@ -313,8 +327,8 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     'output.directory', 'experiment') to values that win over the file, the
     way command-line flags should.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    with open(path, "rb") as fh:  # bytes, so bad UTF-8 is a YAMLError
+        raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     return resolve_config(_require_mapping(raw, "top level"), overrides)
 
 

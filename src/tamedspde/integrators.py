@@ -27,8 +27,8 @@ is batch-transparent.  :func:`evolve`, the one stepping loop and noise site,
 steps a :class:`PathBatch` per configuration.  Randomness is addressed, never
 streamed: trajectory b at step n always sees the same Gaussians regardless
 of batch or process layout, so the paths of one block may be split into
-parts and stepped in two processes at once (see estimators._lanes).  The
-step and draw workspaces last one evolve call.
+parts and stepped in two processes at once (see estimators._lanes).  Steps
+take a part's node side whole; step and draw workspaces last one evolve call.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ from .nonlinearity import Nonlinearity
 from .spectral import phi1_factors, semigroup_factors, sine_matrix
 
 _NOISE_MODES = ("increment", "exact")
-
-# the node-side work of a step runs over row tiles of about this many bytes
-# of node values, so a tile's reaction is still in cache when it is squared;
-# a single path (a 1-d state or B = 1) keeps one tile, because numpy sums a
-# column pairwise and a tiled sum would change its bits
-_TILE_BYTES = 1 << 17
 
 # evolve draws at least this many normals per call, in the fewest whole
 # steps that hold them: one short draw per step costs more per normal
@@ -141,12 +135,12 @@ class Engine:
 
     step() refreshes ``last_drift_l2`` with the per-path L2 norm of the
     tamed drift contribution, whose bound :class:`PathBatch` checks, and
-    writes its intermediates into one workspace per process, shared by all
-    engines and dropped when evolve returns, so two threads must not step
-    at once; the states it returns are new arrays.
+    writes z, f(z) and the coefficients of the whole state into one
+    workspace per process, shared by all engines and dropped when evolve
+    returns, so two threads must not step at once; it returns new arrays.
     """
 
-    # step()'s (key, buffers) for the last key (n_nodes, tile rows, state
+    # step()'s (key, (z, f, coeffs)) for the last key (n_nodes, state
     # shape) of this process, shared by all engines; a step writes each
     # buffer before reading it and returns none of them, and evolve drops
     # them on return and on error
@@ -189,31 +183,21 @@ class Engine:
             return decay * x + noise
 
         # the module docstring's expressions, each operation in its order
-        m = self.basis.shape[0]
-        rows = (m if x.size == len(x)  # node rows per tile
-                else min(m, max(1, _TILE_BYTES // x[0].nbytes)))
-        key = (m, rows) + x.shape
+        key = self.basis.shape[:1] + x.shape
         if Engine._work[0] != key:
-            Engine._work = key, (np.empty((m + rows,) + x.shape[1:]),
-                                 np.empty((rows + 1,) + x.shape[1:]),
+            nodes = key[:1] + x.shape[1:]
+            Engine._work = key, (np.empty(nodes), np.empty(nodes),
                                  np.empty(x.shape))
-        nodes, sq, coeffs = Engine._work[1]
-        total = sq[0, ...]  # a view, also of a 1-d sq
+        z, f, coeffs = Engine._work[1]
         inc = self.noise_mode == "increment"
         with np.errstate(over="ignore", invalid="ignore"):
-            # z goes below a spare tile; each tile's f is written one tile
-            # up, over z already read, so f ends contiguous in nodes[:m]
-            np.matmul(self.basis, x, out=nodes[rows:])
-            for lo in range(0, m, rows):
-                ft = nodes[lo:min(lo + rows, m)]
-                self.f(nodes[rows + lo:rows + lo + len(ft)], out=ft)
-                if self.taming:
-                    # squares under the running total: numpy adds the rows
-                    # of a block in order, so total is bitwise the sum of
-                    # all m squares
-                    np.multiply(ft, ft, out=sq[1:1 + len(ft)])
-                    np.sum(sq[int(lo == 0):1 + len(ft)], axis=0, out=total)
-            coeffs = np.matmul(self.basis.T, nodes[:m], out=coeffs)
+            np.matmul(self.basis, x, out=z)
+            self.f(z, out=f)
+            if self.taming:
+                # the squares go over the spent z; numpy adds the rows of a
+                # block in order, and a single column pairwise
+                total = np.multiply(f, f, out=z).sum(axis=0)
+            coeffs = np.matmul(self.basis.T, f, out=coeffs)
             coeffs *= self.weight
             if self.taming:
                 norm = np.sqrt(total * self.weight)

@@ -169,6 +169,34 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "1.0 into whole steps")
 
 
+# A config file that is not valid UTF-8, or that gives a key twice in one
+# mapping, is a configuration error: exit 2, not a traceback or a run on
+# the last value, and nothing is written.
+_HEAD = (b"experiment: simulate\n"
+         b"model: {nonlinearity: zero, covariance: white, n_modes: 8, "
+         b"n_nodes: 32}\n"
+         b"discretization: {dt: 0.1, n_steps: 5}\n")
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"sampling: {n_paths: 3, seed: \xff}\n",
+     "unacceptable character #x00ff: invalid start byte\n  in "),
+    (b"sampling: {n_paths: 3}\nsampling: {n_paths: 5}\n",
+     "found duplicate key 'sampling'\n  in "),
+    (b"sampling: {n_paths: 5, n_paths: 7}\n",
+     "found duplicate key 'n_paths'\n  in "),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, tail, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(_HEAD + tail)
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "), err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 # A level or checkpoint that is not a whole number of steps of dt, a NaN or
 # an infinity among them, is a configuration error: exit 2, not a traceback.
 _OFF_GRID = [

@@ -216,12 +216,13 @@ def test_taming_bound_violation_names_step_and_trajectory(monkeypatch):
     assert exc_info.value.trajectory == 8
 
 
-# --- row tiles, chunked draws and the BLAS pin ---------------------------------
+# --- whole node side, chunked draws and the BLAS pin ---------------------------
 
-@pytest.mark.parametrize("J, B", [(64, 1024), (16, 1)])  # (256, 1024), (64, 1)
+@pytest.mark.parametrize("J, B", [(64, 1024), (64, 256), (16, 1)])
 @pytest.mark.parametrize("taming", [True, False])
-def test_tiled_step_matches_manual_assembly(J, B, taming):
-    # a (256, 1024) workspace runs in 16 row tiles, a (64, 1) one in one
+def test_part_step_matches_manual_assembly(J, B, taming):
+    # (64, 256) is the capped weak-order part; a (64, 1) node block is one
+    # column, which numpy sums pairwise
     cfg = make_cfg(dissipative_cubic(1.0), J=J, taming=taming)
     engine = Engine(cfg)
     gen = np.random.default_rng(J)
@@ -232,11 +233,8 @@ def test_tiled_step_matches_manual_assembly(J, B, taming):
 
 
 @pytest.mark.parametrize("batch", [None, 1, 2, 3, 1024])
-def test_three_row_tiles_match_manual_assembly(monkeypatch, batch):
-    # 3 node rows per tile, so the 24 nodes of J = 6 take 8 tiles; a single
-    # path keeps one tile, because numpy sums its column pairwise
-    monkeypatch.setattr(integrators, "_TILE_BYTES", 3 * 8 * (batch or 1))
-    tiles = [24] if batch in (None, 1) else [3] * 8
+def test_three_row_tiles_match_manual_assembly(batch):
+    # the reaction runs once per step, on all 24 node rows of J = 6
     shape = (6,) if batch is None else (6, batch)
     gen = np.random.default_rng(batch)
     for nl in _REACTIONS:
@@ -245,12 +243,12 @@ def test_three_row_tiles_match_manual_assembly(monkeypatch, batch):
                 cfg = make_cfg(nl, taming=taming, mode=mode)
                 engine, seen = Engine(cfg), []
                 engine.f = (lambda z, out, f=engine.f:
-                            seen.append(len(z)) or f(z, out=out))
+                            seen.append(z.shape) or f(z, out=out))
                 x = gen.normal(size=shape)
                 noise_term = engine.noise_from_gaussians(gen.normal(size=shape))
                 assert np.array_equal(engine.step(x, noise_term),
                                       manual_step(cfg, x, noise_term))
-                assert seen == tiles
+                assert seen == [(24,) + shape[1:]]
 
 
 def test_inline_draws_and_blas_pin_move_no_byte(monkeypatch):
